@@ -4,15 +4,13 @@
 // the regime where the early-exit Hamming kernel and pair symmetry pay).
 //
 // Two pinned regimes since PR 7:
-//   * dense (n<=1024, 8 fat clusters, tau=208) — the PR 2 acceptance grid;
-//     auto keeps the BitMatrix backend here.
+//   * dense (n<=1024, 8 fat clusters, tau=208) — the tiled-kernel acceptance grid.
 //   * sparse (n=4096, 256 thin clusters, tau=96, expected degree ~16) — the
-//     paper's sublinear-probe regime; auto picks the CSR backend, and the
-//     *Baseline variant pins scalar+dense to measure the PR 7 speedup
-//     (BENCH_pr7.json acceptance: >= 2x on BM_SparseGraphPlusCluster).
-// Every benchmark labels the SIMD tier it actually dispatched and the
-// resolved graph backend, so BENCH_*.json trajectories are comparable
-// across machines. Build Release (-O3) for recorded numbers.
+//     paper's sublinear-probe regime; the *Baseline variant pins the scalar
+//     kernel tier to measure what SIMD dispatch buys.
+// Every benchmark labels the SIMD tier it actually dispatched, so BENCH_*.json
+// trajectories are comparable across machines. Build Release (-O3) for
+// recorded numbers.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -33,7 +31,7 @@ constexpr std::size_t kSpread = 40;    // intra-cluster flip count
 constexpr std::size_t kTau = 208;      // ~graph_tau_c * ln n edge threshold
 
 // Sparse regime (PR 7): thin clusters, tight threshold — expected degree
-// ~n/kSparseGroups - 1 ~ 15, edge density ~1/256, far under the CSR cutoff.
+// ~n/kSparseGroups - 1 ~ 15, edge density ~1/256.
 constexpr std::size_t kSparseN = 4096;
 constexpr std::size_t kSparseGroups = 256;
 constexpr std::size_t kSparseTau = 96;
@@ -60,25 +58,22 @@ std::size_t min_cluster_for(std::size_t n, std::size_t groups) {
   return std::max<std::size_t>(2, n / groups * 2 / 3);
 }
 
-/// "tier=avx512 backend=csr" — the config label every benchmark reports.
-std::string config_label(GraphBackend resolved) {
-  return std::string("tier=") + simd::tier_name(simd::active_tier()) +
-         " backend=" + backend_name(resolved);
+/// "tier=avx512" — the config label every benchmark reports.
+std::string config_label() {
+  return std::string("tier=") + simd::tier_name(simd::active_tier());
 }
 
 void BM_NeighborGraphBuild(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const BitMatrix z = make_z_family(n, kGroups, 42);
   std::size_t edges = 0;
-  GraphBackend resolved = GraphBackend::kAuto;
   for (auto _ : state) {
-    const NeighborGraph graph(z, kTau, GraphBackend::kAuto, kSerial);
-    resolved = graph.backend();
+    const NeighborGraph graph(z, kTau, kSerial);
     edges = 0;
     for (PlayerId p = 0; p < n; ++p) edges += graph.degree(p);
     benchmark::DoNotOptimize(edges);
   }
-  state.SetLabel(config_label(resolved));
+  state.SetLabel(config_label());
   state.counters["edges"] = static_cast<double>(edges);
   state.counters["pairs_per_s"] = benchmark::Counter(
       static_cast<double>(n) * static_cast<double>(n - 1) / 2.0,
@@ -88,49 +83,44 @@ void BM_NeighborGraphBuild(benchmark::State& state) {
 void BM_ClusterPlayers(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const BitMatrix z = make_z_family(n, kGroups, 42);
-  const NeighborGraph graph(z, kTau, GraphBackend::kAuto, kSerial);
+  const NeighborGraph graph(z, kTau, kSerial);
   std::size_t clusters = 0;
   for (auto _ : state) {
     const Clustering c = cluster_players(graph, min_cluster_for(n, kGroups));
     clusters = c.clusters.size();
     benchmark::DoNotOptimize(clusters);
   }
-  state.SetLabel(config_label(graph.backend()));
+  state.SetLabel(config_label());
   state.counters["clusters"] = static_cast<double>(clusters);
 }
 
 void BM_GraphPlusCluster(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const BitMatrix z = make_z_family(n, kGroups, 42);
-  GraphBackend resolved = GraphBackend::kAuto;
   for (auto _ : state) {
-    const NeighborGraph graph(z, kTau, GraphBackend::kAuto, kSerial);
-    resolved = graph.backend();
+    const NeighborGraph graph(z, kTau, kSerial);
     const Clustering c = cluster_players(graph, min_cluster_for(n, kGroups));
     benchmark::DoNotOptimize(c.clusters.size());
   }
-  state.SetLabel(config_label(resolved));
+  state.SetLabel(config_label());
 }
 
-/// The sparse pinned grid, parameterized by backend and (optionally) a
-/// forced scalar tier so the baseline measures the pre-PR 7 code path.
-void sparse_graph_plus_cluster(benchmark::State& state, GraphBackend backend,
-                               bool force_scalar) {
+/// The sparse pinned grid, optionally with a forced scalar tier so the
+/// baseline measures the kernels without SIMD dispatch.
+void sparse_graph_plus_cluster(benchmark::State& state, bool force_scalar) {
   const simd::Tier saved = simd::active_tier();
   if (force_scalar) simd::set_tier(simd::Tier::kScalar);
   const BitMatrix z = make_z_family(kSparseN, kSparseGroups, 42);
-  GraphBackend resolved = GraphBackend::kAuto;
   std::size_t edges = 0;
   for (auto _ : state) {
-    const NeighborGraph graph(z, kSparseTau, backend, kSerial);
-    resolved = graph.backend();
+    const NeighborGraph graph(z, kSparseTau, kSerial);
     edges = 0;
     for (PlayerId p = 0; p < kSparseN; ++p) edges += graph.degree(p);
     const Clustering c =
         cluster_players(graph, min_cluster_for(kSparseN, kSparseGroups));
     benchmark::DoNotOptimize(c.clusters.size());
   }
-  state.SetLabel(config_label(resolved));
+  state.SetLabel(config_label());
   state.counters["edges"] = static_cast<double>(edges);
   state.counters["pairs_per_s"] = benchmark::Counter(
       static_cast<double>(kSparseN) * static_cast<double>(kSparseN - 1) / 2.0,
@@ -138,26 +128,20 @@ void sparse_graph_plus_cluster(benchmark::State& state, GraphBackend backend,
   simd::set_tier(saved);
 }
 
-// Pre-PR 7 code path: scalar kernels + dense BitMatrix adjacency.
+// Scalar-tier baseline: the same build and peel without SIMD kernels.
 void BM_SparseGraphPlusClusterBaseline(benchmark::State& state) {
-  sparse_graph_plus_cluster(state, GraphBackend::kDense, /*force_scalar=*/true);
+  sparse_graph_plus_cluster(state, /*force_scalar=*/true);
 }
 
-// SIMD kernels but still the dense backend — isolates the CSR contribution.
-void BM_SparseGraphPlusClusterDense(benchmark::State& state) {
-  sparse_graph_plus_cluster(state, GraphBackend::kDense, /*force_scalar=*/false);
-}
-
-// The shipped configuration: auto backend (resolves to CSR here) + best tier.
+// The shipped configuration: the best tier the CPU supports.
 void BM_SparseGraphPlusCluster(benchmark::State& state) {
-  sparse_graph_plus_cluster(state, GraphBackend::kAuto, /*force_scalar=*/false);
+  sparse_graph_plus_cluster(state, /*force_scalar=*/false);
 }
 
 BENCHMARK(BM_NeighborGraphBuild)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ClusterPlayers)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GraphPlusCluster)->Arg(1024)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SparseGraphPlusClusterBaseline)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SparseGraphPlusClusterDense)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SparseGraphPlusCluster)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -11,14 +11,13 @@
 //                                the shipped path.
 //   * BM_StreamEpochsRebuildBaseline — the pre-PR 10 answer: a fresh
 //                                alive-masked NeighborGraph + cluster_players
-//                                from scratch every epoch, pinned to the SAME
-//                                resolved backend so the ratio isolates
-//                                incrementality (BENCH_pr10.json acceptance:
-//                                >= 5x on epochs_per_s).
+//                                from scratch every epoch, so the ratio
+//                                isolates incrementality (BENCH_pr10.json
+//                                acceptance: >= 5x on epochs_per_s).
 // Initial graph construction and row restoration happen under PauseTiming —
 // steady state means the build cost is amortized away, exactly the regime the
-// churn workload lives in. Labels carry SIMD tier + resolved backend like
-// every other bench. Build Release (-O3) for recorded numbers.
+// churn workload lives in. Labels carry the SIMD tier like every other
+// bench. Build Release (-O3) for recorded numbers.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -36,7 +35,7 @@ constexpr std::size_t kN = 2048;
 constexpr std::size_t kGroups = 128;   // planted clusters, expected degree ~15
 constexpr std::size_t kDim = 2048;
 constexpr std::size_t kSpread = 40;    // intra-cluster flip count
-constexpr std::size_t kTau = 96;       // sparse regime: auto resolves to CSR
+constexpr std::size_t kTau = 96;       // sparse regime
 constexpr std::size_t kMinCluster = kN / kGroups * 2 / 3;
 constexpr std::size_t kEpochs = 32;
 constexpr double kFlipRate = 0.01;
@@ -102,30 +101,19 @@ void replay_flips(BitMatrix& z, const EpochPlan& plan) {
   for (const auto& [p, bit] : plan.flips) z.row(p).flip(bit);
 }
 
-std::string config_label(GraphBackend resolved) {
-  return std::string("tier=") + simd::tier_name(simd::active_tier()) +
-         " backend=" + backend_name(resolved);
-}
-
-/// The backend the shipped auto heuristic picks on this grid; the baseline
-/// pins the same one so the comparison is incremental-vs-rebuild, not
-/// csr-vs-dense.
-GraphBackend resolved_backend(const BitMatrix& pristine) {
-  return NeighborGraph(pristine, kTau, GraphBackend::kAuto, kSerial).backend();
+std::string config_label() {
+  return std::string("tier=") + simd::tier_name(simd::active_tier());
 }
 
 void BM_StreamEpochs(benchmark::State& state) {
   const BitMatrix pristine = make_z_family(42);
   const std::vector<EpochPlan> plans = make_plans(7);
-  GraphBackend resolved = GraphBackend::kAuto;
   std::size_t edges_changed = 0, reclusters = 0;
   for (auto _ : state) {
     state.PauseTiming();
     BitMatrix z = pristine;  // every iteration replays the same evolution
     const std::vector<ConstBitRow> views = z.row_views();
-    StreamSession session(views, kTau, kMinCluster, GraphBackend::kAuto,
-                          kSerial);
-    resolved = session.graph().backend();
+    StreamSession session(views, kTau, kMinCluster, kSerial);
     state.ResumeTiming();
     for (const EpochPlan& plan : plans) {
       replay_flips(z, plan);
@@ -137,7 +125,7 @@ void BM_StreamEpochs(benchmark::State& state) {
     reclusters = session.totals().reclusters;
     state.ResumeTiming();
   }
-  state.SetLabel(config_label(resolved));
+  state.SetLabel(config_label());
   state.counters["edges_changed"] = static_cast<double>(edges_changed);
   state.counters["reclusters"] = static_cast<double>(reclusters);
   state.counters["epochs_per_s"] = benchmark::Counter(
@@ -147,7 +135,6 @@ void BM_StreamEpochs(benchmark::State& state) {
 void BM_StreamEpochsRebuildBaseline(benchmark::State& state) {
   const BitMatrix pristine = make_z_family(42);
   const std::vector<EpochPlan> plans = make_plans(7);
-  const GraphBackend backend = resolved_backend(pristine);
   for (auto _ : state) {
     state.PauseTiming();
     BitMatrix z = pristine;
@@ -160,12 +147,12 @@ void BM_StreamEpochsRebuildBaseline(benchmark::State& state) {
         if (u.kind == UpdateKind::kDepart) alive.set(u.player, false);
         if (u.kind == UpdateKind::kArrive) alive.set(u.player, true);
       }
-      const NeighborGraph graph(views, kTau, backend, kSerial, &alive);
+      const NeighborGraph graph(views, kTau, kSerial, &alive);
       const Clustering c = cluster_players(graph, kMinCluster);
       benchmark::DoNotOptimize(c.clusters.size());
     }
   }
-  state.SetLabel(config_label(backend));
+  state.SetLabel(config_label());
   state.counters["epochs_per_s"] = benchmark::Counter(
       static_cast<double>(kEpochs), benchmark::Counter::kIsIterationInvariantRate);
 }

@@ -10,6 +10,10 @@
 // The acceptance configuration for PR 3 is BM_SuiteThroughput (18 runs);
 // tools/bench_to_json.py distills the JSON into BENCH_pr3.json. Build
 // Release (-O3 + LTO) for recorded numbers.
+//
+// Every benchmark here times wall-clock (UseRealTime), so each runs_per_s
+// counter is runs / wall seconds. Timing by the main thread's CPU time would
+// overstate the rate of any benchmark whose work runs on pool threads.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -115,7 +119,7 @@ void BM_SuiteThroughputJsonlSink(benchmark::State& state) {
 
 // Sparse-regime suite throughput (PR 7): large n, many thin planted
 // clusters — the configuration where calculate_preferences' neighbor graphs
-// auto-select the CSR backend and the SIMD tiers carry the pair sweep. Two
+// are sparse and the SIMD tiers carry the pair sweep. Two
 // seeds keep the wall time sane (a single n=2048 run is seconds); the
 // label pins the dispatched tier so trajectories compare across machines.
 void BM_SuiteThroughputSparse(benchmark::State& state) {
@@ -173,12 +177,14 @@ void BM_SuiteThroughputConcurrent(benchmark::State& state) {
       static_cast<double>(runs), benchmark::Counter::kIsIterationInvariantRate);
 }
 
-BENCHMARK(BM_SuiteThroughput)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SuiteThroughputConcurrent)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SuiteThroughput)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_SuiteThroughputConcurrent)->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK(BM_SuiteThroughputSparse)->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-BENCHMARK(BM_SuiteThroughputReps)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SuiteThroughputJsonlSink)->Unit(benchmark::kMillisecond);
+    ->Iterations(1)->UseRealTime();
+BENCHMARK(BM_SuiteThroughputReps)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_SuiteThroughputJsonlSink)->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace colscore

@@ -34,7 +34,7 @@ void BM_NeighborGraphKernel(benchmark::State& state) {
   double seconds = 0;
   for (auto _ : state) {
     Timer timer;
-    const NeighborGraph graph(z, dim / 3, GraphBackend::kAuto, policy);
+    const NeighborGraph graph(z, dim / 3, policy);
     benchmark::DoNotOptimize(graph.degree(0));
     seconds = timer.seconds();
   }

@@ -102,7 +102,7 @@ struct RunWorkspace {
   std::vector<std::size_t> sr_coords_flat;
   std::vector<ObjectId> sr_sub_objects;
 
-  // ---- CSR neighbor-graph build (neighbor_csr.cpp) -------------------------
+  // ---- CSR neighbor-graph build (neighbor_graph.cpp) -----------------------
   // nb_tile_edges[ti] is written only by the task owning tile ti (the outer
   // vector is sized before the parallel sweep); counts/cursor are sequential.
   std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> nb_tile_edges;

@@ -163,7 +163,7 @@ ProtocolResult calculate_preferences(ProtocolEnv& env, const Params& params,
     const auto tau = static_cast<std::size_t>(
         std::min(params.graph_tau_c * ln_n,
                  params.graph_tau_sample_frac * static_cast<double>(sample.size())));
-    const NeighborGraph graph(z, tau, GraphBackend::kAuto, env.policy);
+    const NeighborGraph graph(z, tau, env.policy);
     const Clustering clustering = cluster_players(graph, min_cluster);
     info.clusters = clustering.clusters.size();
     info.min_cluster = clustering.min_cluster_size();

@@ -6,38 +6,49 @@
 // whole neighbourhood; leftovers then attach to the cluster of any previously
 // removed neighbour.
 //
-// Two adjacency backends behind one interface (identical downstream output):
-//   * kDense — contiguous BitMatrix, O(n^2) bits. Wins when the graph is
-//     dense or n is small: neighbor walks are word-parallel AND+ctz scans.
-//   * kCsr — offsets + flat neighbor array (src/protocols/neighbor_csr.hpp).
-//     Wins in the sparse regime (large n, small tau): no O(n^2)-bit
-//     allocation/zero/mirror, and every neighbor walk is O(degree).
-// kAuto picks per instance via a deterministic sampled-density heuristic
-// (csr_preferred), so the choice is identical on every machine and run.
+// Storage is CSR: per-player offsets into one flat, ascending neighbor
+// array. It stores exactly the edges, so memory and every neighbor walk
+// scale with the edge count, not with n^2 bits.
 //
-// Hot-path layout (both backends): construction computes each unordered pair
-// {p, q} once, in cache-sized row tiles, with an early-exit Hamming kernel
-// that abandons a pair as soon as its running distance crosses the threshold
-// (far pairs — the common case — cost a handful of words instead of a full
-// row scan). The kernel itself is SIMD-dispatched (src/common/simd.hpp).
+// Hot-path layout: construction computes each unordered pair {p, q} once,
+// in cache-sized row tiles, with an early-exit Hamming kernel that abandons
+// a pair as soon as its running distance crosses the threshold (far pairs —
+// the common case — cost a handful of words instead of a full row scan).
+// The kernel itself is SIMD-dispatched (src/common/simd.hpp). Each tile task
+// appends its edges to a private list and a sequential scatter walks those
+// lists in tile order, so every neighbor list comes out ascending with no
+// sort and no dependence on the thread schedule.
 #pragma once
 
 #include <span>
 #include <vector>
 
+#include "src/common/assert.hpp"
 #include "src/common/bitmatrix.hpp"
 #include "src/common/bitvector.hpp"
 #include "src/common/exec_policy.hpp"
 #include "src/common/types.hpp"
-#include "src/protocols/neighbor_csr.hpp"
 
 namespace colscore {
 
-/// Adjacency storage choice; kAuto resolves to kDense or kCsr at build time.
+// ---- Benchmark compatibility (names only; no behaviour) -------------------
+// colbench/ still spells the storage-selection API the graph had while it
+// kept a second, dense adjacency. These names stay so the benchmark keeps
+// building unchanged; the next change to the benchmark deletes them. The
+// backend argument of the constructors below is accepted and ignored,
+// NeighborGraph::backend() always reports kCsr, and NeighborGraph::row()
+// keeps its assert for CSR graphs. Nothing outside colbench/ may use them.
 enum class GraphBackend { kAuto, kDense, kCsr };
 
-/// "dense" / "csr" — the spelling benches print in their config labels.
-const char* backend_name(GraphBackend backend) noexcept;
+inline const char* backend_name(GraphBackend backend) noexcept {
+  switch (backend) {
+    case GraphBackend::kAuto: return "auto";
+    case GraphBackend::kDense: return "dense";
+    case GraphBackend::kCsr: return "csr";
+  }
+  return "unknown";
+}
+// ---- end of benchmark compatibility ----------------------------------------
 
 /// One streaming delta against a player's published row (PR 10). A batch of
 /// these describes everything that happened in one churn epoch; the batch
@@ -80,30 +91,23 @@ class NeighborGraph {
   /// departed players from the pair sweep (their rows keep zero edges until
   /// a kArrive update readmits them).
   NeighborGraph(std::span<const ConstBitRow> z, std::size_t threshold,
-                GraphBackend backend = GraphBackend::kAuto,
                 const ExecPolicy& policy = ExecPolicy::process_default(),
                 const BitVector* alive = nullptr);
   NeighborGraph(const BitMatrix& z, std::size_t threshold,
-                GraphBackend backend = GraphBackend::kAuto,
                 const ExecPolicy& policy = ExecPolicy::process_default());
   NeighborGraph(std::span<const BitVector> z, std::size_t threshold,
-                GraphBackend backend = GraphBackend::kAuto,
                 const ExecPolicy& policy = ExecPolicy::process_default());
-
-  /// The resolved backend (never kAuto). Stable across apply_updates — a
-  /// rebuild epoch keeps the backend resolved at construction so the
-  /// streaming trajectory is schedule- and history-independent.
-  GraphBackend backend() const noexcept { return backend_; }
 
   std::size_t size() const noexcept { return n_; }
   std::size_t threshold() const noexcept { return threshold_; }
-  bool has_edge(PlayerId p, PlayerId q) const {
-    return backend_ == GraphBackend::kDense ? adj_.get(p, q)
-                                            : csr_.has_edge(p, q);
+  /// Binary search in the ascending neighbor list of p.
+  bool has_edge(PlayerId p, PlayerId q) const;
+  /// O(1): the length of p's neighbor list.
+  std::size_t degree(PlayerId p) const { return offsets_[p + 1] - offsets_[p]; }
+  /// Neighbours of p as an ascending id list.
+  std::span<const std::uint32_t> neighbors(PlayerId p) const {
+    return {nbrs_.data() + offsets_[p], nbrs_.data() + offsets_[p + 1]};
   }
-  /// O(1): degrees are cached at build time and maintained incrementally by
-  /// apply_updates (they seed cluster_players' alive-degree peel each epoch).
-  std::size_t degree(PlayerId p) const { return degrees_[p]; }
 
   /// Present players (all-true unless built with a mask or updated with
   /// kArrive/kDepart). Departed players always have degree 0 and no edges.
@@ -113,10 +117,10 @@ class NeighborGraph {
 
   /// Applies one epoch's batch of row deltas incrementally: O(k·n) distance
   /// work (k = batch size, each changed row swept against the alive set with
-  /// the dispatched early-exit kernel) plus O(edges touched) structural
-  /// splicing — instead of the O(n²) full rebuild. `z` must be the same row
-  /// family the graph was built over, already holding the post-epoch
-  /// contents; each player may appear at most once per batch.
+  /// the dispatched early-exit kernel) plus one O(n + edges) splice of the
+  /// neighbor arrays — instead of the O(n²) full rebuild. `z` must be the
+  /// same row family the graph was built over, already holding the
+  /// post-epoch contents; each player may appear at most once per batch.
   ///
   /// Falls back to a full (alive-masked) rebuild when the batch covers
   /// >= 1/8 of the population — past that point the incremental bookkeeping
@@ -128,45 +132,47 @@ class NeighborGraph {
                            std::span<const ConstBitRow> z,
                            const ExecPolicy& policy = ExecPolicy::process_default());
 
-  /// Neighbours of p as an n-bit row view (bit q set iff edge pq).
-  /// Dense backend only — callers that must handle both backends walk
-  /// degree()/has_edge() or branch on backend() like cluster_players does.
-  ConstBitRow row(PlayerId p) const;
-  /// Neighbours of p as an ascending id list. CSR backend only.
-  std::span<const std::uint32_t> neighbors(PlayerId p) const;
+  // ---- Benchmark compatibility (see GraphBackend above) --------------------
+  NeighborGraph(std::span<const ConstBitRow> z, std::size_t threshold,
+                GraphBackend /*ignored*/,
+                const ExecPolicy& policy = ExecPolicy::process_default(),
+                const BitVector* alive = nullptr)
+      : NeighborGraph(z, threshold, policy, alive) {}
+  NeighborGraph(const BitMatrix& z, std::size_t threshold,
+                GraphBackend /*ignored*/,
+                const ExecPolicy& policy = ExecPolicy::process_default())
+      : NeighborGraph(z, threshold, policy) {}
+  GraphBackend backend() const noexcept { return GraphBackend::kCsr; }
+  ConstBitRow row(PlayerId /*p*/) const {
+    CS_ASSERT(backend() == GraphBackend::kDense,
+              "NeighborGraph::row needs the dense backend, but this graph "
+              "resolved to the csr backend; walk neighbors()/has_edge() or "
+              "branch on backend() like cluster_players does");
+    return {};
+  }
+  // ---- end of benchmark compatibility --------------------------------------
 
  private:
-  void build(std::span<const ConstBitRow> z, std::size_t threshold,
-             GraphBackend backend, const ExecPolicy& policy,
-             const BitVector* alive);
-  /// (Re)computes the full adjacency + degree cache for the resolved
-  /// backend over the current alive set.
-  void rebuild_adjacency(std::span<const ConstBitRow> z,
-                         const ExecPolicy& policy);
-  /// Current neighbor list of p, ascending, into `out` (either backend).
-  void neighbor_list(PlayerId p, std::vector<std::uint32_t>& out) const;
-
   std::size_t n_ = 0;
   std::size_t threshold_ = 0;
-  GraphBackend backend_ = GraphBackend::kDense;
-  BitMatrix adj_;      // kDense
-  CsrNeighbors csr_;   // kCsr
+  /// offsets_[p] .. offsets_[p+1] index the neighbors of p in nbrs_
+  /// (ascending). offsets_ has size n + 1; offsets_[n] == nbrs_.size().
+  std::vector<std::uint32_t> offsets_;
+  std::vector<std::uint32_t> nbrs_;
   BitVector alive_;
   std::size_t alive_count_ = 0;
-  /// degrees_[p] == |edges incident to p|; maintained by apply_updates.
-  std::vector<std::uint32_t> degrees_;
 
   /// Per-batch scratch, reused across epochs (a streaming session calls
   /// apply_updates thousands of times; reallocating these each epoch would
   /// dominate small batches).
   struct UpdateScratch {
     std::vector<std::vector<std::uint32_t>> new_lists;
-    std::vector<std::vector<std::uint32_t>> old_lists;
     std::vector<std::uint32_t> added, removed;
     BitVector updated;
     std::vector<std::uint32_t> update_index;          // valid where updated
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> csr_adds, csr_dels;
-    std::vector<std::uint32_t> csr_offsets, csr_adj;  // rebuilt arrays
+    std::vector<std::uint32_t> degrees;               // post-epoch degrees
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> adds, dels;
+    std::vector<std::uint32_t> offsets, nbrs;         // spliced arrays
   };
   UpdateScratch scratch_;
 };
@@ -189,15 +195,8 @@ struct Clustering {
 
 /// Greedy peeling per Fig. 2 step 1.d with cluster size floor `min_cluster`
 /// (= n/B in the paper). Alive-degrees are maintained incrementally as
-/// members are absorbed instead of rescanned per probe. Runs on either
-/// backend with identical output (neighbor walks visit the same ids in the
-/// same ascending order both ways).
+/// members are absorbed instead of rescanned per probe. Neighbor walks visit
+/// ids in ascending order, so the output is a pure function of the edge set.
 Clustering cluster_players(const NeighborGraph& graph, std::size_t min_cluster);
-
-/// Compat overload: `z` was only ever a diagnostics hook and is ignored.
-inline Clustering cluster_players(const NeighborGraph& graph, std::size_t min_cluster,
-                                  std::span<const BitVector> /*z*/) {
-  return cluster_players(graph, min_cluster);
-}
 
 }  // namespace colscore

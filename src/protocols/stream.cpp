@@ -4,10 +4,10 @@ namespace colscore {
 
 StreamSession::StreamSession(std::span<const ConstBitRow> z,
                              std::size_t threshold, std::size_t min_cluster,
-                             GraphBackend backend, const ExecPolicy& policy)
+                             const ExecPolicy& policy)
     : z_(z.begin(), z.end()),
       min_cluster_(min_cluster),
-      graph_(z_, threshold, backend, policy) {
+      graph_(z_, threshold, policy) {
   clustering_ = cluster_players(graph_, min_cluster_);
 }
 

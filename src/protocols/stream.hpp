@@ -19,7 +19,7 @@
 // rows first (e.g. BitRow::flip_random), then describe what changed in one
 // apply_epoch batch. Outputs are pinned: after any sequence of epochs the
 // graph and clustering are byte-identical to a fresh build over the current
-// rows + alive set (tests/test_stream.cpp fuzzes this on both backends).
+// rows + alive set (tests/test_stream.cpp fuzzes this).
 #pragma once
 
 #include <cstdint>
@@ -61,8 +61,16 @@ class StreamSession {
   /// threshold, `min_cluster` the peel floor (paper's n/B).
   StreamSession(std::span<const ConstBitRow> z, std::size_t threshold,
                 std::size_t min_cluster,
-                GraphBackend backend = GraphBackend::kAuto,
                 const ExecPolicy& policy = ExecPolicy::process_default());
+
+  // ---- Benchmark compatibility (see GraphBackend in neighbor_graph.hpp) ----
+  // colbench/ still passes a backend; it is accepted and ignored, and the
+  // next change to the benchmark deletes this overload.
+  StreamSession(std::span<const ConstBitRow> z, std::size_t threshold,
+                std::size_t min_cluster, GraphBackend /*ignored*/,
+                const ExecPolicy& policy = ExecPolicy::process_default())
+      : StreamSession(z, threshold, min_cluster, policy) {}
+  // ---- end of benchmark compatibility --------------------------------------
 
   /// Applies one epoch: the caller has already mutated the flipped rows in
   /// place; `updates` lists every player whose row content or aliveness

@@ -54,8 +54,7 @@ ChurnStats run_churn(PreferenceMatrix& matrix, const ChurnConfig& config,
   for (PlayerId p = 0; p < n; ++p)
     views.push_back(std::as_const(matrix).row(p));
 
-  StreamSession session(views, config.threshold, config.min_cluster,
-                        config.backend, policy);
+  StreamSession session(views, config.threshold, config.min_cluster, policy);
   for (std::size_t e = 0; e < config.epochs; ++e) {
     const std::vector<RowUpdate> batch =
         draw_churn_epoch(matrix, session.graph().alive(), config, rng);

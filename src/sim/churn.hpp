@@ -12,7 +12,7 @@
 // Determinism: fates and flip positions come only from the caller's Rng (one
 // stream, fixed draw order), and the session's maintenance is
 // schedule-independent — the drifted matrix and the stats are identical for
-// every thread count and backend.
+// every thread count.
 #pragma once
 
 #include <span>
@@ -40,7 +40,6 @@ struct ChurnConfig {
   std::size_t threshold = 32;
   /// Peel floor for the streamed clustering (paper's n/B).
   std::size_t min_cluster = 2;
-  GraphBackend backend = GraphBackend::kAuto;
 };
 
 /// Draws one epoch's update batch against `alive` (ascending player order,

@@ -205,13 +205,6 @@ ChurnConfig churn_config_for(const Scenario& sc) {
                                 std::max<std::size_t>(1, 2 * sc.diameter));
   cfg.min_cluster = std::max<std::size_t>(
       2, sc.n / std::max<std::size_t>(1, derived_clusters(sc)) * 2 / 3);
-  const std::string backend = sc.extra_string("stream_backend", "auto");
-  if (backend == "dense") cfg.backend = GraphBackend::kDense;
-  else if (backend == "csr") cfg.backend = GraphBackend::kCsr;
-  else if (backend == "auto") cfg.backend = GraphBackend::kAuto;
-  else
-    throw ScenarioError("override 'stream_backend=" + backend +
-                        "': expected auto, dense or csr");
   return cfg;
 }
 
@@ -241,6 +234,23 @@ void register_builtin_workloads(WorkloadRegistry& reg) {
              const std::size_t links =
                  sc.n_clusters != 0 ? sc.n_clusters
                                     : std::max<std::size_t>(2, 2 * sc.budget);
+             // The chain must fit the object universe (n objects); report a
+             // bad combination as a scenario error, not a generator abort.
+             if (links < 2)
+               throw ScenarioError(
+                   "workload 'chained' needs clusters >= 2, got clusters=" +
+                   std::to_string(links));
+             if (links * sc.diameter > sc.n) {
+               const std::string links_from =
+                   sc.n_clusters != 0
+                       ? "clusters=" + std::to_string(sc.n_clusters)
+                       : "2*budget, budget=" + std::to_string(sc.budget);
+               throw ScenarioError(
+                   "workload 'chained': " + std::to_string(links) + " links (" +
+                   links_from + ") of diameter=" + std::to_string(sc.diameter) +
+                   " bits need n >= " + std::to_string(links * sc.diameter) +
+                   ", got n=" + std::to_string(sc.n));
+             }
              return chained_clusters(sc.n, sc.n, links, sc.diameter, rng);
            },
            {}});
@@ -262,8 +272,8 @@ void register_builtin_workloads(WorkloadRegistry& reg) {
        "epochs (default 16) epochs of per-player fates — depart w.p. "
        "`depart` (default 0), else drift w.p. `flip_rate` (default 0.01, "
        "flipping `flip_bits`=2 positions), departed players return w.p. "
-       "`arrive` (default 0.25); stream_tau (default 2*diameter) and "
-       "stream_backend (auto|dense|csr) shape the streamed neighbor graph",
+       "`arrive` (default 0.25); stream_tau (default 2*diameter) is the "
+       "streamed neighbor graph's edge threshold",
        [](const Scenario& sc, Rng& rng, const ExecPolicy& policy) {
          World w = planted_clusters(sc.n, sc.n, derived_clusters(sc),
                                     sc.diameter, rng, sc.zipf_sizes);
@@ -281,9 +291,7 @@ void register_builtin_workloads(WorkloadRegistry& reg) {
         {"depart", ParamType::kDouble,
          "per-epoch departure probability per alive player"},
         {"stream_tau", ParamType::kSize,
-         "edge threshold of the streamed graph (0 keeps 2*diameter)"},
-        {"stream_backend", ParamType::kString,
-         "streamed graph backend: auto, dense or csr"}},
+         "edge threshold of the streamed graph (0 keeps 2*diameter)"}},
        {{"epochs", MetricType::kU64, "churn epochs simulated"},
         {"edges_changed", MetricType::kU64,
          "graph edges added+removed across all epochs"},

@@ -74,7 +74,7 @@ TEST(ClusterPlayers, RecoversCleanGroups) {
   Rng rng(2);
   const auto z = grouped_vectors(60, 3, 128, rng);
   const NeighborGraph g(z, 10);
-  const Clustering c = cluster_players(g, /*min_cluster=*/20, z);
+  const Clustering c = cluster_players(g, /*min_cluster=*/20);
   EXPECT_EQ(c.clusters.size(), 3u);
   EXPECT_EQ(c.min_cluster_size(), 20u);
   EXPECT_EQ(c.max_cluster_size(), 20u);
@@ -88,7 +88,7 @@ TEST(ClusterPlayers, EveryPlayerAssignedExactlyOnce) {
   Rng rng(3);
   const auto z = grouped_vectors(45, 3, 64, rng);
   const NeighborGraph g(z, 5);
-  const Clustering c = cluster_players(g, 15, z);
+  const Clustering c = cluster_players(g, 15);
   std::vector<int> seen(45, 0);
   for (const auto& cluster : c.clusters)
     for (PlayerId p : cluster) ++seen[p];
@@ -109,7 +109,7 @@ TEST(ClusterPlayers, LeftoverAttachesToNeighborCluster) {
   nearby.flip(2);
   z.push_back(nearby);  // distance 3 from the group
   const NeighborGraph g(z, 2);  // the extra player has NO edges at tau=2
-  const Clustering c = cluster_players(g, 20, z);
+  const Clustering c = cluster_players(g, 20);
   // The orphan pools into its own residual cluster — it must NOT pollute the
   // real cluster's votes.
   EXPECT_EQ(c.clusters.size(), 2u);
@@ -127,7 +127,7 @@ TEST(ClusterPlayers, LeftoverViaRemovedNeighbor) {
   fringe.flip(0);  // distance 1: adjacent at tau=1
   z.push_back(fringe);
   const NeighborGraph g(z, 1);
-  const Clustering c = cluster_players(g, 21, z);
+  const Clustering c = cluster_players(g, 21);
   ASSERT_EQ(c.clusters.size(), 1u);
   EXPECT_EQ(c.cluster_of[20], 0u);
   EXPECT_EQ(c.clusters[0].size(), 21u);
@@ -139,7 +139,7 @@ TEST(ClusterPlayers, NoClustersWhenGraphTooSparse) {
   std::vector<BitVector> z;
   for (int i = 0; i < 10; ++i) z.push_back(random_bitvector(256, rng));
   const NeighborGraph g(z, 4);  // essentially no edges
-  const Clustering c = cluster_players(g, 5, z);
+  const Clustering c = cluster_players(g, 5);
   // Everyone becomes an orphan in one fallback cluster.
   EXPECT_GE(c.orphans, 9u);
   for (PlayerId p = 0; p < 10; ++p)
@@ -153,7 +153,7 @@ TEST(ClusterPlayers, DiameterStaysBoundedOnPlanted) {
   std::vector<BitVector> z;
   for (PlayerId p = 0; p < 80; ++p) z.push_back(w.matrix.row(p));
   const NeighborGraph g(z, D);  // true distances as the estimate
-  const Clustering c = cluster_players(g, 20, z);
+  const Clustering c = cluster_players(g, 20);
   for (const auto& cluster : c.clusters) {
     EXPECT_LE(w.matrix.diameter(cluster), 4 * D);
   }
@@ -176,7 +176,7 @@ TEST(ClusterPlayers, MinClusterOneDegenerates) {
   Rng rng(8);
   std::vector<BitVector> z = grouped_vectors(6, 2, 64, rng);
   const NeighborGraph g(z, 5);
-  const Clustering c = cluster_players(g, 1, z);
+  const Clustering c = cluster_players(g, 1);
   for (PlayerId p = 0; p < 6; ++p)
     EXPECT_NE(c.cluster_of[p], Clustering::kNoClusterAssigned);
 }
@@ -189,7 +189,7 @@ TEST_P(ClusteringGroupSweep, RecoversPlantedPartition) {
   Rng rng(groups * 131 + per_group);
   const auto z = grouped_vectors(groups * per_group, groups, 256, rng);
   const NeighborGraph g(z, 20);
-  const Clustering c = cluster_players(g, per_group, z);
+  const Clustering c = cluster_players(g, per_group);
   EXPECT_EQ(c.clusters.size(), groups);
   EXPECT_EQ(c.min_cluster_size(), per_group);
 }

@@ -116,6 +116,37 @@ TEST(RunIsolation, ExhaustedRetriesDegradeToAFailureRow) {
   EXPECT_FALSE(record.value("total_probes").has_value());
 }
 
+TEST(RunIsolation, ChainTooLongForTheUniverseBecomesAFailureRow) {
+  // At n=64, budget=8 the chained workload's default 2*budget = 16 links of
+  // `diameter` bits each cannot fit 64 objects. The factory reports that as
+  // a scenario error: the planted run still completes, and the chained run
+  // becomes a failure row naming the workload and the keys involved.
+  SuiteOptions options;
+  options.threads = 1;
+  options.backoff_s = 0.0;
+  const std::vector<SuiteRun> runs = SuiteRunner(options).run(
+      expand_grid(ScenarioSpec::parse("n=64 budget=8 diameter=8 opt=0"),
+                  parse_grid("workload=planted,chained")));
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[0].status, RunStatus::kOk);
+  EXPECT_EQ(runs[1].status, RunStatus::kFailed);
+  for (const char* key : {"'chained'", "budget=8", "diameter=8", "n=64"})
+    EXPECT_NE(runs[1].error.find(key), std::string::npos)
+        << key << " missing from: " << runs[1].error;
+  EXPECT_EQ(suite_failure_count(runs), 1u);
+
+  // A one-link chain is rejected the same way.
+  try {
+    (void)run_scenario(Scenario::resolve(
+        ScenarioSpec::parse("workload=chained n=64 clusters=1 opt=0")));
+    FAIL() << "expected ScenarioError for clusters=1";
+  } catch (const ScenarioError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("'chained'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("clusters=1"), std::string::npos) << msg;
+  }
+}
+
 TEST(RunIsolation, SlowRunsClassifyAsTimeoutPostHoc) {
   const FaultPlan faults = FaultPlan::parse("delay@0=0.6");
   SuiteOptions options;

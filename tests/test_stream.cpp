@@ -3,7 +3,7 @@
 // The load-bearing invariant: after ANY sequence of apply_updates batches —
 // flips, arrivals, departures, rebuild-fallback epochs, interleaved — the
 // graph is byte-identical to a fresh build over the current rows + alive
-// set, on both backends, under any policy. Everything downstream
+// set, under any policy. Everything downstream
 // (clusterings, degree orderings, churn metrics) inherits determinism from
 // that. The fuzz here drives mixed batches from seeded Rng streams and
 // checks the equivalence after every single epoch, not just at the end.
@@ -31,7 +31,7 @@ constexpr std::size_t kMinCluster = 4;
 /// time; must reproduce everywhere (see that test's comment).
 constexpr std::uint64_t kGoldenFingerprint = 3499066396291582376ull;
 
-/// Same planted shape the CSR equivalence tests use: tight groups a couple
+/// Same planted shape the neighbor-graph oracle tests use: tight groups a couple
 /// of flips wide, far apart from each other.
 std::vector<BitVector> planted_z(std::size_t n, std::size_t groups, Rng rng) {
   std::vector<BitVector> centers;
@@ -86,12 +86,10 @@ struct FuzzWorld {
 };
 
 void expect_matches_fresh(const NeighborGraph& inc, const FuzzWorld& world,
-                          GraphBackend backend, const char* where) {
+                          const char* where) {
   const std::vector<ConstBitRow> z = views_of(world.rows);
-  const NeighborGraph fresh(z, kTau, backend, ExecPolicy::serial(),
-                            &world.alive);
+  const NeighborGraph fresh(z, kTau, ExecPolicy::serial(), &world.alive);
   ASSERT_EQ(inc.size(), fresh.size()) << where;
-  ASSERT_EQ(inc.backend(), fresh.backend()) << where;
   ASSERT_EQ(inc.alive_count(), fresh.alive_count()) << where;
   for (PlayerId p = 0; p < inc.size(); ++p) {
     ASSERT_EQ(inc.is_alive(p), fresh.is_alive(p)) << where << " p=" << p;
@@ -117,95 +115,87 @@ std::size_t total_edges(const NeighborGraph& g) {
 TEST(Stream, IncrementalMatchesFreshBuildUnderMixedChurn) {
   ThreadPool pool(4);
   const ExecPolicy policies[] = {ExecPolicy::serial(), ExecPolicy::pool(pool)};
-  for (const GraphBackend backend : {GraphBackend::kDense, GraphBackend::kCsr})
-    for (std::size_t which = 0; which < 2; ++which)
-      for (const std::uint64_t seed : {11ull, 12ull, 13ull}) {
-        const ExecPolicy& policy = policies[which];
-        FuzzWorld world(120, Rng(seed));
-        std::vector<ConstBitRow> z = views_of(world.rows);
-        NeighborGraph graph(z, kTau, backend, policy);
-        Rng churn_rng(seed * 1000 + 7);
-        for (std::size_t e = 0; e < 12; ++e) {
-          const std::vector<RowUpdate> batch = world.epoch(churn_rng);
-          const std::size_t before = total_edges(graph);
-          const GraphDelta delta = graph.apply_updates(batch, z, policy);
-          const std::size_t after = total_edges(graph);
-          // Delta accounting must reconcile with the degree cache whether or
-          // not the epoch fell back to a rebuild.
-          EXPECT_EQ(static_cast<long long>(after) -
-                        static_cast<long long>(before),
-                    static_cast<long long>(delta.edges_added) -
-                        static_cast<long long>(delta.edges_removed))
-              << "epoch " << e;
-          expect_matches_fresh(graph, world, backend, "mixed churn");
-        }
+  for (std::size_t which = 0; which < 2; ++which)
+    for (const std::uint64_t seed : {11ull, 12ull, 13ull}) {
+      const ExecPolicy& policy = policies[which];
+      FuzzWorld world(120, Rng(seed));
+      std::vector<ConstBitRow> z = views_of(world.rows);
+      NeighborGraph graph(z, kTau, policy);
+      Rng churn_rng(seed * 1000 + 7);
+      for (std::size_t e = 0; e < 12; ++e) {
+        const std::vector<RowUpdate> batch = world.epoch(churn_rng);
+        const std::size_t before = total_edges(graph);
+        const GraphDelta delta = graph.apply_updates(batch, z, policy);
+        const std::size_t after = total_edges(graph);
+        // Delta accounting must reconcile with the degree cache whether or
+        // not the epoch fell back to a rebuild.
+        EXPECT_EQ(static_cast<long long>(after) -
+                      static_cast<long long>(before),
+                  static_cast<long long>(delta.edges_added) -
+                      static_cast<long long>(delta.edges_removed))
+            << "epoch " << e;
+        expect_matches_fresh(graph, world, "mixed churn");
       }
+    }
 }
 
 TEST(Stream, LargeBatchFallsBackToRebuildAndStaysExact) {
-  for (const GraphBackend backend :
-       {GraphBackend::kDense, GraphBackend::kCsr}) {
-    FuzzWorld world(96, Rng(5));
-    std::vector<ConstBitRow> z = views_of(world.rows);
-    NeighborGraph graph(z, kTau, backend, ExecPolicy::serial());
-    // Flip a quarter of the population in one batch: >= n/8 forces the
-    // documented full-rebuild fallback.
-    std::vector<RowUpdate> batch;
-    Rng rng(99);
-    for (PlayerId p = 0; p < world.rows.size(); p += 4) {
-      world.rows[p].flip(rng.below(kDim));
-      world.rows[p].flip(rng.below(kDim));
-      world.rows[p].flip(rng.below(kDim));
-      batch.push_back({p, UpdateKind::kFlip});
-    }
-    const GraphDelta delta = graph.apply_updates(batch, z);
-    EXPECT_TRUE(delta.rebuilt);
-    expect_matches_fresh(graph, world, backend, "rebuild fallback");
-
-    // A small follow-up batch must go back to the incremental path and stay
-    // exact against the rebuilt state.
-    world.rows[1].flip(rng.below(kDim));
-    const RowUpdate single[] = {{1, UpdateKind::kFlip}};
-    const GraphDelta d2 = graph.apply_updates(single, z);
-    EXPECT_FALSE(d2.rebuilt);
-    expect_matches_fresh(graph, world, backend, "post-rebuild increment");
+  FuzzWorld world(96, Rng(5));
+  std::vector<ConstBitRow> z = views_of(world.rows);
+  NeighborGraph graph(z, kTau, ExecPolicy::serial());
+  // Flip a quarter of the population in one batch: >= n/8 forces the
+  // documented full-rebuild fallback.
+  std::vector<RowUpdate> batch;
+  Rng rng(99);
+  for (PlayerId p = 0; p < world.rows.size(); p += 4) {
+    world.rows[p].flip(rng.below(kDim));
+    world.rows[p].flip(rng.below(kDim));
+    world.rows[p].flip(rng.below(kDim));
+    batch.push_back({p, UpdateKind::kFlip});
   }
+  const GraphDelta delta = graph.apply_updates(batch, z);
+  EXPECT_TRUE(delta.rebuilt);
+  expect_matches_fresh(graph, world, "rebuild fallback");
+
+  // A small follow-up batch must go back to the incremental path and stay
+  // exact against the rebuilt state.
+  world.rows[1].flip(rng.below(kDim));
+  const RowUpdate single[] = {{1, UpdateKind::kFlip}};
+  const GraphDelta d2 = graph.apply_updates(single, z);
+  EXPECT_FALSE(d2.rebuilt);
+  expect_matches_fresh(graph, world, "post-rebuild increment");
 }
 
 TEST(Stream, DepartureDropsAllEdgesAndArrivalRestoresThem) {
-  for (const GraphBackend backend :
-       {GraphBackend::kDense, GraphBackend::kCsr}) {
-    FuzzWorld world(64, Rng(21));
-    std::vector<ConstBitRow> z = views_of(world.rows);
-    NeighborGraph graph(z, kTau, backend, ExecPolicy::serial());
-    ASSERT_GT(graph.degree(3), 0u) << "planted input should connect player 3";
-    const std::size_t degree_before = graph.degree(3);
+  FuzzWorld world(64, Rng(21));
+  std::vector<ConstBitRow> z = views_of(world.rows);
+  NeighborGraph graph(z, kTau, ExecPolicy::serial());
+  ASSERT_GT(graph.degree(3), 0u) << "planted input should connect player 3";
+  const std::size_t degree_before = graph.degree(3);
 
-    world.alive.set(3, false);
-    const RowUpdate depart[] = {{3, UpdateKind::kDepart}};
-    const GraphDelta gone = graph.apply_updates(depart, z);
-    EXPECT_EQ(gone.edges_removed, degree_before);
-    EXPECT_EQ(gone.edges_added, 0u);
-    EXPECT_FALSE(graph.is_alive(3));
-    EXPECT_EQ(graph.degree(3), 0u);
-    for (PlayerId q = 0; q < graph.size(); ++q)
-      EXPECT_FALSE(graph.has_edge(3, q)) << "q=" << q;
-    expect_matches_fresh(graph, world, backend, "after depart");
+  world.alive.set(3, false);
+  const RowUpdate depart[] = {{3, UpdateKind::kDepart}};
+  const GraphDelta gone = graph.apply_updates(depart, z);
+  EXPECT_EQ(gone.edges_removed, degree_before);
+  EXPECT_EQ(gone.edges_added, 0u);
+  EXPECT_FALSE(graph.is_alive(3));
+  EXPECT_EQ(graph.degree(3), 0u);
+  for (PlayerId q = 0; q < graph.size(); ++q)
+    EXPECT_FALSE(graph.has_edge(3, q)) << "q=" << q;
+  expect_matches_fresh(graph, world, "after depart");
 
-    world.alive.set(3, true);
-    const RowUpdate arrive[] = {{3, UpdateKind::kArrive}};
-    const GraphDelta back = graph.apply_updates(arrive, z);
-    EXPECT_EQ(back.edges_added, degree_before);
-    EXPECT_EQ(graph.degree(3), degree_before);
-    expect_matches_fresh(graph, world, backend, "after re-arrival");
-  }
+  world.alive.set(3, true);
+  const RowUpdate arrive[] = {{3, UpdateKind::kArrive}};
+  const GraphDelta back = graph.apply_updates(arrive, z);
+  EXPECT_EQ(back.edges_added, degree_before);
+  EXPECT_EQ(graph.degree(3), degree_before);
+  expect_matches_fresh(graph, world, "after re-arrival");
 }
 
 TEST(Stream, SessionReclustersOnlyOnDirtyEpochs) {
   FuzzWorld world(96, Rng(31));
   const std::vector<ConstBitRow> z = views_of(world.rows);
-  StreamSession session(z, kTau, kMinCluster, GraphBackend::kAuto,
-                        ExecPolicy::serial());
+  StreamSession session(z, kTau, kMinCluster, ExecPolicy::serial());
   const std::vector<std::uint32_t> initial = session.clustering().cluster_of;
 
   // Empty batch: nothing changed, the peel must not re-run.
@@ -300,13 +290,13 @@ TEST(Stream, ChurnWorkloadPublishesItsMetrics) {
 
 /// Fixed-seed golden: the exact final state of one pinned churn script. Any
 /// behavioural drift in the update path, the draw order, or the peel shows
-/// up here as a diff, on every machine (nothing below depends on schedule,
-/// SIMD tier, or backend — dense and csr must agree bit for bit).
+/// up here as a diff, on every machine (nothing below depends on schedule
+/// or SIMD tier).
 TEST(Stream, FixedSeedGoldenFingerprint) {
-  const auto fingerprint = [](GraphBackend backend) {
+  const auto fingerprint = [] {
     FuzzWorld world(80, Rng(4242));
     std::vector<ConstBitRow> z = views_of(world.rows);
-    NeighborGraph graph(z, kTau, backend, ExecPolicy::serial());
+    NeighborGraph graph(z, kTau, ExecPolicy::serial());
     Rng rng(31337);
     for (std::size_t e = 0; e < 10; ++e)
       graph.apply_updates(world.epoch(rng), z);
@@ -324,10 +314,7 @@ TEST(Stream, FixedSeedGoldenFingerprint) {
     mix(graph.alive_count());
     return h;
   };
-  const std::uint64_t dense = fingerprint(GraphBackend::kDense);
-  const std::uint64_t csr = fingerprint(GraphBackend::kCsr);
-  EXPECT_EQ(dense, csr);
-  EXPECT_EQ(dense, kGoldenFingerprint);
+  EXPECT_EQ(fingerprint(), kGoldenFingerprint);
 }
 
 }  // namespace

@@ -60,13 +60,15 @@ def distill(raw: dict) -> list[dict]:
         if b.get("run_type") == "aggregate":
             continue
         entry = {
-            "name": b["name"],
+            # UseRealTime() appends "/real_time" to the name; drop it so an
+            # entry keeps matching its recorded trajectory.
+            "name": b["name"].removesuffix("/real_time"),
             "real_time_s": to_seconds(b["real_time"], b.get("time_unit", "s")),
             "cpu_time_s": to_seconds(b["cpu_time"], b.get("time_unit", "s")),
             "iterations": b.get("iterations", 0),
         }
-        # The benchmark's SetLabel string (e.g. "tier=avx512 backend=csr")
-        # pins the machine-dependent config a number was measured under.
+        # The benchmark's SetLabel string (e.g. "tier=avx512") pins the
+        # machine-dependent config a number was measured under.
         if b.get("label"):
             entry["label"] = b["label"]
         counters = {k: v for k, v in b.items() if k not in reserved}

@@ -28,7 +28,7 @@ GROUP_OWNERS = {
     "ze": ("src/protocols/zero_radius.cpp",),
     "vt": ("src/protocols/work_share.cpp",),
     "sr": ("src/protocols/small_radius.cpp",),
-    "nb": ("src/protocols/neighbor_csr.cpp",),
+    "nb": ("src/protocols/neighbor_graph.cpp",),
     "cp": ("src/core/calculate_preferences.cpp",),
 }
 
