@@ -39,7 +39,7 @@ class ExecPolicy {
   static ExecPolicy pool(ThreadPool& pool);
   /// The process-wide default policy over ThreadPool::global(). The one
   /// sanctioned spelling for code without a caller-provided policy (benches,
-  /// tests, the free parallel_for shim). Resolves the global pool lazily on
+  /// tests, default arguments). Resolves the global pool lazily on
   /// every call so the CLI's startup sizing still applies.
   static const ExecPolicy& process_default();
 
@@ -117,14 +117,5 @@ class WorkerScope {
   const WorkspaceArena* prev_arena_ = nullptr;
   RunWorkspace* prev_ws_ = nullptr;
 };
-
-/// Legacy free wrapper, kept for benches and tests only: a shim over the
-/// process-default policy. Library code takes an ExecPolicy (CL012).
-template <typename Body>
-void parallel_for(std::size_t begin, std::size_t end, Body&& body,
-                  std::size_t grain = 0) {
-  ExecPolicy::process_default().par_for(begin, end, std::forward<Body>(body),
-                                        grain);
-}
 
 }  // namespace colscore

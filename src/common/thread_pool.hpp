@@ -69,8 +69,4 @@ class ThreadPool {
 /// on its claimed index anyway). No-op for seconds <= 0.
 void sleep_for_seconds(double seconds);
 
-// The free parallel_for convenience template lives in exec_policy.hpp now
-// (a shim over ExecPolicy::process_default(), for benches and tests only);
-// library code threads an explicit ExecPolicy instead (lint rule CL012).
-
 }  // namespace colscore

@@ -16,9 +16,7 @@
 // dishonest=20"): three names plus key=value overrides, round-trippable
 // through parse()/to_string(). `Scenario::resolve()` validates the names,
 // applies registered defaults then user overrides, and yields the numeric
-// config that `run_scenario()` executes. The legacy enum API in
-// src/sim/experiment.hpp is a thin compatibility shim over these entry
-// points.
+// config that `run_scenario()` executes.
 #pragma once
 
 #include <functional>
@@ -67,8 +65,8 @@ struct ScenarioSpec {
 };
 
 /// Resolved, ready-to-run scenario: the numeric configuration after registry
-/// defaults and spec overrides are applied. Field defaults mirror the legacy
-/// ExperimentConfig so directly-constructed scenarios behave identically.
+/// defaults and spec overrides are applied. A directly-constructed Scenario
+/// skips the registered defaults: it runs exactly the fields it sets.
 struct Scenario {
   std::string workload = "planted";
   std::string adversary = "none";

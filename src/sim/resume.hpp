@@ -78,11 +78,10 @@ struct ResumeContext {
   ResumePlan plan;
 };
 
-/// The one-call resume front end shared by run_suite_file and the CLI grid
-/// path: projects `schema` onto `columns`, loads the prior artifact, plans,
-/// and marks completed planned runs kSkipped in place. Throws when
-/// `summary` is not kNone — aggregated rows do not identify runs, so a
-/// summarized artifact cannot be resumed.
+/// run_suite_file's one-call resume front end: projects `schema` onto
+/// `columns`, loads the prior artifact, plans, and marks completed planned
+/// runs kSkipped in place. Throws when `summary` is not kNone — aggregated
+/// rows do not identify runs, so a summarized artifact cannot be resumed.
 ResumeContext prepare_resume(std::string_view sink_name,
                              const std::string& path,
                              std::vector<SuiteRun>& planned,

@@ -292,30 +292,4 @@ std::vector<SuiteRun> SuiteRunner::run_grid(const ScenarioSpec& base,
   return SuiteRunner(std::move(options)).run(expand_grid(base, axes));
 }
 
-// ---- CSV --------------------------------------------------------------------
-
-// Both functions are thin shims over the typed schema layer
-// (src/sim/record.hpp): the default column selection and the one shared
-// formatting path. The cell bytes are pinned by the determinism goldens.
-
-std::vector<std::string> suite_csv_columns(bool include_wall, bool include_rep) {
-  return default_columns(include_wall, include_rep);
-}
-
-std::vector<std::string> suite_row_cells(const SuiteRun& run, bool include_wall,
-                                         bool include_rep) {
-  const MetricSchema schema = scenario_metric_schema(run.scenario);
-  const RunRecord record = make_run_record(run, schema);
-  std::vector<std::string> cells;
-  for (const std::string& key : default_columns(include_wall, include_rep))
-    cells.push_back(record.cell_text(schema.index_of(key)));
-  return cells;
-}
-
-void suite_csv_row(CsvWriter& writer, const SuiteRun& run, bool include_wall,
-                   bool include_rep) {
-  // CsvWriter asserts the width against its header.
-  writer.row(suite_row_cells(run, include_wall, include_rep));
-}
-
 }  // namespace colscore

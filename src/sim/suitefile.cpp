@@ -267,23 +267,16 @@ SuiteFile load_suite_file(const std::string& path) {
 std::vector<SuiteRun> run_suite_file(const SuiteFile& file,
                                      const SuiteFileOverrides& overrides) {
   SuiteOptions options = file.options();
-  if (overrides.threads.has_value()) options.threads = *overrides.threads;
-  if (overrides.retries.has_value()) options.retries = *overrides.retries;
-  if (overrides.timeout_s.has_value()) options.timeout_s = *overrides.timeout_s;
-  if (overrides.backoff_s.has_value()) options.backoff_s = *overrides.backoff_s;
   if (overrides.shard.has_value()) {
     options.shard_index = overrides.shard->first;
     options.shard_count = overrides.shard->second;
   }
-  const FaultPlan faults = FaultPlan::parse(
-      overrides.faults.has_value() ? *overrides.faults : file.faults);
+  const FaultPlan faults = FaultPlan::parse(file.faults);
   if (!faults.empty()) options.faults = &faults;
 
   SinkConfig config;
-  config.path = overrides.output.has_value() ? *overrides.output : file.output;
+  config.path = file.output;
   config.stream = overrides.stream;
-  const std::string sink_name =
-      overrides.sink.has_value() ? *overrides.sink : file.sink;
 
   // The suite's schema (built-ins + every cell's entry metrics, resolved
   // once per distinct entry triple) and the selected columns; selection and
@@ -295,8 +288,8 @@ std::vector<SuiteRun> run_suite_file(const SuiteFile& file,
   std::vector<std::string> columns =
       file.columns.empty() ? default_columns(file.include_wall, include_rep)
                            : file.columns;
-  // "wall": true is an explicit request; honor it alongside an explicit
-  // "columns" selection (same rule as the CLI's --wall + --columns).
+  // "wall": true (the CLI's --wall) is an explicit request; honor it
+  // alongside an explicit "columns" selection.
   if (file.include_wall && !file.columns.empty() &&
       std::find(columns.begin(), columns.end(), "wall_s") == columns.end())
     columns.push_back("wall_s");
@@ -307,10 +300,10 @@ std::vector<SuiteRun> run_suite_file(const SuiteFile& file,
   std::vector<SuiteRun> runs = SuiteRunner(options).plan(specs);
   std::optional<ResumeContext> resume;
   if (overrides.resume.has_value())
-    resume = prepare_resume(sink_name, *overrides.resume, runs, schema,
+    resume = prepare_resume(file.sink, *overrides.resume, runs, schema,
                             columns, file.summary);
 
-  std::unique_ptr<ResultSink> sink = make_sink(sink_name, config);
+  std::unique_ptr<ResultSink> sink = make_sink(file.sink, config);
   if (faults.has_sink_faults())
     sink = std::make_unique<FaultInjectingSink>(faults, std::move(sink));
 

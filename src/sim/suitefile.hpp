@@ -96,19 +96,12 @@ SuiteFile parse_suite_file(std::string_view json_text, std::string origin);
 /// Reads and parses `path`.
 SuiteFile load_suite_file(const std::string& path);
 
-/// Caller adjustments applied on top of the file (CLI flags win over the
-/// checked-in defaults). `stream` forces the sink destination (tests,
-/// stdout capture) and beats both output paths.
+/// Per-invocation choices that are not part of the sweep's description.
+/// Callers that override the file's own keys (the CLI's --sink, --threads,
+/// --faults, ...) assign the SuiteFile fields directly.
 struct SuiteFileOverrides {
-  std::optional<std::string> sink;
-  std::optional<std::string> output;
-  std::optional<std::size_t> threads;
+  /// Forces the sink destination (tests, stdout capture); beats `output`.
   std::ostream* stream = nullptr;
-  std::optional<std::size_t> retries;
-  std::optional<double> timeout_s;
-  std::optional<double> backoff_s;
-  /// FaultPlan spec string; overrides the file's "faults".
-  std::optional<std::string> faults;
   /// (shard index, shard count) — run only that contiguous slice of the
   /// flat run-index space (per-run seeds are unchanged).
   std::optional<std::pair<std::size_t, std::size_t>> shard;

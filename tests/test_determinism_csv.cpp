@@ -10,23 +10,21 @@
 
 #include <sstream>
 
-#include "src/sim/suite.hpp"
+#include "src/sim/suitefile.hpp"
 #include "test_util.hpp"
 
 namespace colscore {
 namespace {
 
 std::string run_to_csv(const std::string& scenario_text) {
-  SuiteOptions options;
-  options.threads = 1;
-  options.derive_seeds = false;  // single runs keep their literal seed
+  SuiteFile file;
+  file.base = ScenarioSpec::parse(scenario_text);
+  file.threads = 1;
+  file.derive_seeds = false;  // single runs keep their literal seed
   std::ostringstream out;
-  CsvWriter writer(out, suite_csv_columns(/*include_wall=*/false));
-  options.on_result = [&](const SuiteRun& run) {
-    suite_csv_row(writer, run, /*include_wall=*/false);
-  };
-  SuiteRunner runner(options);
-  runner.run({ScenarioSpec::parse(scenario_text)});
+  SuiteFileOverrides overrides;
+  overrides.stream = &out;
+  (void)run_suite_file(file, overrides);
   return out.str();
 }
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/sim/record.hpp"
+#include "src/sim/sink.hpp"
 #include "src/sim/suite.hpp"
 
 namespace colscore {
@@ -215,23 +216,32 @@ TEST(Sharding, ShardOutputsConcatenateToTheUnshardedRows) {
   const std::vector<ScenarioSpec> specs =
       tiny_grid("adversary=none,sleeper,random_liar");
 
+  const MetricSchema schema = suite_metric_schema(specs);
   auto rows_for = [&](std::size_t index, std::size_t count) {
     SuiteOptions options;
     options.threads = 1;
     options.reps = 2;
     options.shard_index = index;
     options.shard_count = count;
-    std::vector<std::string> rows;
+    std::ostringstream csv;
+    SinkConfig config;
+    config.stream = &csv;
+    CsvSink sink(config);
+    RecordStream stream(sink, schema,
+                        default_columns(false, /*include_rep=*/true));
     options.on_result = [&](const SuiteRun& run) {
       // Out-of-shard runs must never stream.
       EXPECT_NE(run.status, RunStatus::kSkipped);
-      std::ostringstream cell;
-      for (const std::string& c :
-           suite_row_cells(run, false, /*include_rep=*/true))
-        cell << c << ',';
-      rows.push_back(cell.str());
+      stream.write(make_run_record(run, schema));
     };
     SuiteRunner(options).run(specs);
+    stream.finish();
+    // Data rows only: every shard's output carries its own header.
+    std::vector<std::string> rows;
+    std::istringstream lines(csv.str());
+    std::string line;
+    std::getline(lines, line);
+    while (std::getline(lines, line)) rows.push_back(line);
     return rows;
   };
 

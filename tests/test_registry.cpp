@@ -1,45 +1,33 @@
-// Scenario-registry coverage: legacy enums resolve to registered entries,
-// specs round-trip, errors are actionable, and new entries integrate without
-// touching src/sim/experiment.hpp.
+// Scenario-registry coverage: the built-in names are registered, specs
+// round-trip, errors are actionable, and new entries integrate by
+// registration alone.
 #include "src/sim/registry.hpp"
 
 #include <gtest/gtest.h>
 
-#include "src/sim/experiment.hpp"
-
 namespace colscore {
 namespace {
 
-TEST(Registry, EveryLegacyWorkloadIsRegistered) {
-  for (WorkloadKind w :
-       {WorkloadKind::kPlantedClusters, WorkloadKind::kIdenticalClusters,
-        WorkloadKind::kLowerBound, WorkloadKind::kChained,
-        WorkloadKind::kUniformRandom, WorkloadKind::kTwoBlocks}) {
-    const std::string name = ExperimentConfig::workload_name(w);
+TEST(Registry, EveryBuiltinWorkloadIsRegistered) {
+  for (const char* name : {"planted", "identical", "lower_bound", "chained",
+                           "uniform", "two_blocks"}) {
     EXPECT_TRUE(WorkloadRegistry::instance().contains(name)) << name;
     EXPECT_FALSE(WorkloadRegistry::instance().at(name).description.empty());
   }
 }
 
-TEST(Registry, EveryLegacyAdversaryIsRegistered) {
-  for (AdversaryKind a :
-       {AdversaryKind::kNone, AdversaryKind::kRandomLiar, AdversaryKind::kInverter,
-        AdversaryKind::kConstantOne, AdversaryKind::kTargetedBias,
-        AdversaryKind::kHijacker, AdversaryKind::kSleeper,
-        AdversaryKind::kStrangeColluder}) {
-    const std::string name = ExperimentConfig::adversary_name(a);
+TEST(Registry, EveryBuiltinAdversaryIsRegistered) {
+  for (const char* name : {"none", "random_liar", "inverter", "constant_one",
+                           "targeted_bias", "hijacker", "sleeper",
+                           "strange_colluder"})
     EXPECT_TRUE(AdversaryRegistry::instance().contains(name)) << name;
-  }
 }
 
-TEST(Registry, EveryLegacyAlgorithmIsRegistered) {
-  for (AlgorithmKind a :
-       {AlgorithmKind::kCalculatePreferences, AlgorithmKind::kRobust,
-        AlgorithmKind::kProbeAll, AlgorithmKind::kRandomGuess,
-        AlgorithmKind::kOracleClusters, AlgorithmKind::kSampleAndShare}) {
-    const std::string name = ExperimentConfig::algorithm_name(a);
+TEST(Registry, EveryBuiltinAlgorithmIsRegistered) {
+  for (const char* name : {"calculate_preferences", "robust", "probe_all",
+                           "random_guess", "oracle_clusters",
+                           "sample_and_share"})
     EXPECT_TRUE(AlgorithmRegistry::instance().contains(name)) << name;
-  }
 }
 
 TEST(Registry, HistoricalAliasesResolve) {
@@ -152,27 +140,6 @@ TEST(Scenario, ToSpecRoundTripsThroughResolve) {
   EXPECT_EQ(back.dishonest, sc.dishonest);
   EXPECT_EQ(back.compute_opt, sc.compute_opt);
   EXPECT_EQ(back.params.vote_min, sc.params.vote_min);
-}
-
-TEST(Scenario, CompatShimMatchesRegistryPath) {
-  ExperimentConfig config;
-  config.n = 64;
-  config.budget = 4;
-  config.diameter = 8;
-  config.seed = 17;
-  config.adversary = AdversaryKind::kSleeper;
-  config.dishonest = 5;
-  config.compute_opt = false;
-
-  const ExperimentOutcome legacy = run_experiment(config);
-  const ExperimentOutcome direct = run_scenario(Scenario::resolve(
-      ScenarioSpec::parse("adversary=sleeper n=64 budget=4 diameter=8 seed=17 "
-                          "dishonest=5 opt=0")));
-  EXPECT_EQ(legacy.error.max_error, direct.error.max_error);
-  EXPECT_EQ(legacy.error.mean_error, direct.error.mean_error);
-  EXPECT_EQ(legacy.total_probes, direct.total_probes);
-  EXPECT_EQ(legacy.max_probes, direct.max_probes);
-  EXPECT_EQ(legacy.board_reports, direct.board_reports);
 }
 
 TEST(Registry, DuplicateRegistrationProducesTheDocumentedError) {

@@ -57,14 +57,14 @@ std::vector<SuiteRun> run_acceptance(const std::string& sink,
                                      const std::string& path,
                                      const std::string& faults = "",
                                      const std::string& resume_from = "") {
-  const SuiteFile file = parse_suite_file(kSuiteText, "resume.json");
-  SuiteFileOverrides overrides;
-  overrides.sink = sink;
-  overrides.output = path;
+  SuiteFile file = parse_suite_file(kSuiteText, "resume.json");
+  file.sink = sink;
+  file.output = path;
   if (!faults.empty()) {
-    overrides.faults = faults;
-    overrides.timeout_s = 0.15;
+    file.faults = faults;
+    file.timeout_s = 0.15;
   }
+  SuiteFileOverrides overrides;
   if (!resume_from.empty()) overrides.resume = resume_from;
   return run_suite_file(file, overrides);
 }
@@ -162,15 +162,14 @@ TEST(ResumeErrors, ForeignArtifactRowsAreNamed) {
   // An artifact from a *different* sweep must not silently merge.
   const std::string path = temp_path("resume_foreign.jsonl");
   {
-    const SuiteFile other = parse_suite_file(
+    SuiteFile other = parse_suite_file(
         R"({"base": {"workload": "planted", "n": 96, "budget": 4,
                      "dishonest": 4, "opt": false},
             "reps": 3, "threads": 1})",
         "other.json");
-    SuiteFileOverrides overrides;
-    overrides.sink = "jsonl";
-    overrides.output = path;
-    (void)run_suite_file(other, overrides);
+    other.sink = "jsonl";
+    other.output = path;
+    (void)run_suite_file(other);
   }
   try {
     (void)run_acceptance("jsonl", path, "", path);
@@ -185,13 +184,12 @@ TEST(ResumeErrors, ForeignArtifactRowsAreNamed) {
 }
 
 TEST(ResumeErrors, SummarizedArtifactsCannotResume) {
-  const SuiteFile file = parse_suite_file(kSuiteText, "resume.json");
-  SuiteFileOverrides overrides;
-  overrides.sink = "jsonl";
-  overrides.output = temp_path("resume_summary.jsonl");
-  overrides.resume = "whatever.jsonl";
-  SuiteFile summarized = file;
+  SuiteFile summarized = parse_suite_file(kSuiteText, "resume.json");
+  summarized.sink = "jsonl";
+  summarized.output = temp_path("resume_summary.jsonl");
   summarized.summary = SummaryStat::kMean;
+  SuiteFileOverrides overrides;
+  overrides.resume = "whatever.jsonl";
   try {
     (void)run_suite_file(summarized, overrides);
     FAIL() << "expected ScenarioError";

@@ -10,6 +10,7 @@
 
 #include "src/common/exec_policy.hpp"
 #include "src/common/thread_pool.hpp"
+#include "src/sim/sink.hpp"
 
 namespace colscore {
 namespace {
@@ -68,16 +69,32 @@ ScenarioSpec small_base() {
   return base;
 }
 
+/// Runs the grid (a reps= axis included) under `options` and streams the
+/// default columns through CsvSink; returns the runs and the CSV text.
+std::pair<std::vector<SuiteRun>, std::string> grid_csv(
+    const ScenarioSpec& base, const std::string& grid, SuiteOptions options) {
+  std::vector<GridAxis> axes = parse_grid(grid);
+  options.reps = take_reps_axis(axes);
+  const std::vector<ScenarioSpec> specs = expand_grid(base, axes);
+  const MetricSchema schema = suite_metric_schema(specs);
+  std::ostringstream out;
+  SinkConfig config;
+  config.stream = &out;
+  CsvSink sink(config);
+  RecordStream stream(sink, schema, default_columns(false, options.reps > 1));
+  options.on_result = [&](const SuiteRun& run) {
+    stream.write(make_run_record(run, schema));
+  };
+  std::vector<SuiteRun> runs = SuiteRunner(options).run(specs);
+  stream.finish();
+  return {std::move(runs), out.str()};
+}
+
 std::string grid_csv(const ScenarioSpec& base, const std::string& grid,
                      std::size_t threads) {
-  std::ostringstream out;
-  CsvWriter writer(out, suite_csv_columns());
   SuiteOptions options;
   options.threads = threads;
-  options.on_result = [&](const SuiteRun& run) { suite_csv_row(writer, run); };
-  SuiteRunner runner(options);
-  runner.run_grid(base, grid);
-  return out.str();
+  return grid_csv(base, grid, options).second;
 }
 
 TEST(SuiteRunner, ParallelGridIsByteIdenticalToSerial) {
@@ -99,15 +116,10 @@ TEST(SuiteRunner, ExplicitPolicyMatchesThreadsDispatch) {
 
   ThreadPool pool(3);
   const ExecPolicy policy = ExecPolicy::pool(pool);
-  std::ostringstream out;
-  CsvWriter writer(out, suite_csv_columns());
   SuiteOptions options;
   options.policy = &policy;
   options.threads = 7;  // must be ignored in favour of the explicit policy
-  options.on_result = [&](const SuiteRun& run) { suite_csv_row(writer, run); };
-  SuiteRunner runner(options);
-  runner.run_grid(small_base(), grid);
-  EXPECT_EQ(serial, out.str());
+  EXPECT_EQ(serial, grid_csv(small_base(), grid, options).second);
 }
 
 TEST(SuiteRunner, StreamsResultsInIndexOrder) {
@@ -195,16 +207,9 @@ TEST(SuiteRunner, RepsReplicateEveryCellWithDistinctSeeds) {
 
 TEST(SuiteRunner, RepsCsvColumnAndParallelDeterminism) {
   auto reps_csv = [&](std::size_t threads) {
-    std::ostringstream out;
-    CsvWriter writer(out, suite_csv_columns(false, /*include_rep=*/true));
     SuiteOptions options;
     options.threads = threads;
-    options.on_result = [&](const SuiteRun& run) {
-      suite_csv_row(writer, run, false, /*include_rep=*/true);
-    };
-    return std::make_pair(
-        SuiteRunner(options).run_grid(small_base(), "adversary=none x reps=4"),
-        out.str());
+    return grid_csv(small_base(), "adversary=none x reps=4", options);
   };
   const auto [serial_runs, serial] = reps_csv(1);
   const auto [parallel_runs, parallel] = reps_csv(3);
@@ -238,16 +243,11 @@ TEST(SuiteRunner, RegisteredEntriesAreGridSweepable) {
                             [](const Scenario& sc, Rng& rng, const ExecPolicy&) {
                               return two_blocks(sc.n, sc.n, rng);
                             }});
-  std::ostringstream out;
-  CsvWriter writer(out, suite_csv_columns());
-  SuiteOptions options;
-  options.on_result = [&](const SuiteRun& run) { suite_csv_row(writer, run); };
-  SuiteRunner runner(options);
-  const auto runs =
-      runner.run_grid(small_base(), "workload=two_blocks,suite_twin_blocks");
+  const auto [runs, csv] = grid_csv(
+      small_base(), "workload=two_blocks,suite_twin_blocks", SuiteOptions{});
   ASSERT_EQ(runs.size(), 2u);
-  EXPECT_NE(out.str().find("suite_twin_blocks"), std::string::npos);
-  EXPECT_NE(out.str().find("two_blocks"), std::string::npos);
+  EXPECT_NE(csv.find("suite_twin_blocks"), std::string::npos);
+  EXPECT_NE(csv.find("two_blocks"), std::string::npos);
 }
 
 }  // namespace

@@ -158,30 +158,38 @@ TEST(SuiteFile, RunsMatchTheEquivalentGridInvocation) {
   ScenarioSpec base;
   base.set("budget", "4").set("diameter", "8").set("dishonest", "4")
       .set("opt", "0");
+  const std::vector<ScenarioSpec> specs =
+      expand_grid(base, parse_grid("n=48 x adversary=none,sleeper"));
+  const MetricSchema schema = suite_metric_schema(specs);
   std::ostringstream from_grid;
-  CsvWriter writer(from_grid, suite_csv_columns(false, /*include_rep=*/true));
+  SinkConfig config;
+  config.stream = &from_grid;
+  CsvSink sink(config);
+  RecordStream stream(sink, schema,
+                      default_columns(false, /*include_rep=*/true));
   SuiteOptions options;
   options.threads = 1;
   options.reps = 2;
   options.on_result = [&](const SuiteRun& run) {
-    suite_csv_row(writer, run, false, /*include_rep=*/true);
+    stream.write(make_run_record(run, schema));
   };
-  SuiteRunner(options).run(
-      expand_grid(base, parse_grid("n=48 x adversary=none,sleeper")));
+  SuiteRunner(options).run(specs);
+  stream.finish();
 
   EXPECT_FALSE(from_file.str().empty());
   EXPECT_EQ(from_file.str(), from_grid.str());
 }
 
 TEST(SuiteFile, CliOverridesBeatTheFilesChoices) {
-  const SuiteFile file = parse_suite_file(
+  // The CLI overrides a loaded file by assigning its fields (--sink here).
+  SuiteFile file = parse_suite_file(
       R"({"base": {"n": 48, "budget": 4, "opt": false}, "sink": "csv",
           "threads": 1})",
       "override.json");
   std::ostringstream out;
   SuiteFileOverrides overrides;
   overrides.stream = &out;
-  overrides.sink = "jsonl";
+  file.sink = "jsonl";
   (void)run_suite_file(file, overrides);
   // JSONL, not CSV: first byte is '{' and there is no header line.
   ASSERT_FALSE(out.str().empty());

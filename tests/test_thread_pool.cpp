@@ -83,10 +83,10 @@ TEST(ThreadPool, ThreadCountReported) {
   EXPECT_EQ(pool.thread_count(), 5u);
 }
 
-TEST(ThreadPool, FreeParallelForShimWorks) {
-  // The free function survives only as a shim over ExecPolicy::process_default.
+TEST(ThreadPool, ProcessDefaultPolicyParForWorks) {
   std::atomic<std::size_t> sum{0};
-  parallel_for(0, 100, [&](std::size_t i) { sum.fetch_add(i); });
+  ExecPolicy::process_default().par_for(
+      0, 100, [&](std::size_t i) { sum.fetch_add(i); });
   EXPECT_EQ(sum.load(), std::size_t{4950});
 }
 

@@ -17,8 +17,11 @@
 // csv|jsonl|sqlite, --list-sinks; --csv is shorthand for --sink csv --wall),
 // streamed in grid order as runs complete; otherwise a human-readable
 // report. --suite runs a checked-in JSON suite file (base spec + grids +
-// reps + sink), with --sink/--out/--threads overriding the file's choices.
+// reps + sink), with --sink/--out/--threads overriding the file's choices;
+// without it the flags describe the same kind of sweep in memory, and both
+// sink-mode paths run through run_suite_file.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -27,11 +30,9 @@
 #include <string>
 #include <vector>
 
-#include "src/common/csv.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/sim/fault.hpp"
 #include "src/sim/registry.hpp"
-#include "src/sim/resume.hpp"
 #include "src/sim/sink.hpp"
 #include "src/sim/suite.hpp"
 #include "src/sim/suitefile.hpp"
@@ -148,7 +149,6 @@ int sweep_exit_code(const std::vector<SuiteRun>& runs) {
 
 int run(int argc, char** argv) {
   ScenarioSpec spec;
-  SuiteOptions options;
   std::string grid;
   std::string suite_path;
   std::optional<std::string> sink_name;
@@ -159,8 +159,7 @@ int run(int argc, char** argv) {
   std::optional<double> timeout_flag;
   std::optional<double> backoff_flag;
   std::optional<std::string> faults_flag;
-  std::optional<std::pair<std::size_t, std::size_t>> shard_flag;
-  std::optional<std::string> resume_flag;
+  SuiteFileOverrides overrides;  // --shard / --resume
   SummaryStat summary = SummaryStat::kNone;
   bool csv = false;
   bool wall = false;
@@ -201,7 +200,10 @@ int run(int argc, char** argv) {
       } catch (...) {
         used = 0;
       }
-      if (value.empty() || used != value.size() || out < 0) usage(argv[0]);
+      // NaN would silently disable the timeout (NaN > 0 is false).
+      if (value.empty() || used != value.size() || !std::isfinite(out) ||
+          out < 0)
+        usage(argv[0]);
       return out;
     };
 
@@ -238,35 +240,14 @@ int run(int argc, char** argv) {
     else if (arg == "--no-opt") { spec_touched = true; spec.set("opt", "0"); }
     else if (arg == "--grid") { grid = next(); grid_requested = true; }
     else if (arg == "--suite") suite_path = next();
-    else if (arg == "--threads") {
-      const std::string value = next();
-      std::size_t used = 0;
-      std::size_t threads = 0;
-      try {
-        threads = std::stoull(value, &used);
-      } catch (...) {
-        used = 0;
-      }
-      if (used != value.size()) usage(argv[0]);
-      options.threads = threads;
-      threads_flag = threads;
-    }
-    else if (arg == "--retries") {
-      options.retries = next_size();
-      retries_flag = options.retries;
-    } else if (arg == "--timeout-s") {
-      options.timeout_s = next_seconds();
-      timeout_flag = options.timeout_s;
-    } else if (arg == "--backoff-s") {
-      options.backoff_s = next_seconds();
-      backoff_flag = options.backoff_s;
-    } else if (arg == "--faults") faults_flag = next();
-    else if (arg == "--shard") {
-      shard_flag = parse_shard(next());
-      options.shard_index = shard_flag->first;
-      options.shard_count = shard_flag->second;
-    } else if (arg == "--resume") resume_flag = next();
-    else if (arg == "--raw-seeds") { options.derive_seeds = false; raw_seeds = true; }
+    else if (arg == "--threads") threads_flag = next_size();
+    else if (arg == "--retries") retries_flag = next_size();
+    else if (arg == "--timeout-s") timeout_flag = next_seconds();
+    else if (arg == "--backoff-s") backoff_flag = next_seconds();
+    else if (arg == "--faults") faults_flag = next();
+    else if (arg == "--shard") overrides.shard = parse_shard(next());
+    else if (arg == "--resume") overrides.resume = next();
+    else if (arg == "--raw-seeds") raw_seeds = true;
     else if (arg == "--csv") csv = true;
     else if (arg == "--wall") wall = true;
     else if (arg == "--sink") sink_name = next();
@@ -303,26 +284,40 @@ int run(int argc, char** argv) {
   // This is the one sanctioned reset_global call site (see CL012).
   if (threads_flag.has_value()) ThreadPool::reset_global(*threads_flag);
 
-  // ---- schema listing --------------------------------------------------------
+  // ---- the sweep as one SuiteFile -------------------------------------------
+  // --suite loads it; otherwise the flags spell it in memory. Either way
+  // run_suite_file drives every sink-mode sweep.
+  SuiteFile file;
+  const bool suite_mode = !suite_path.empty();
+  if (suite_mode) {
+    // A suite file is the reviewable artifact; flags silently fighting its
+    // contents would defeat the point, so anything that defines the
+    // experiment or the row shape is rejected rather than merged or
+    // dropped. Sink/output/threads and run isolation are runner choices,
+    // not experiment definition, and stay overridable.
+    if (spec_touched || grid_requested)
+      throw ScenarioError(
+          "--suite cannot be combined with scenario or grid flags; edit the "
+          "suite file (or spell the sweep with --grid)");
+    file = load_suite_file(suite_path);
+  } else {
+    file.base = spec;
+    // A `reps=K` grid axis is a suite-level replication count, not a
+    // scenario override; it becomes the file's reps so the output grows a
+    // rep column exactly when replication is in play.
+    std::vector<GridAxis> axes = parse_grid(grid);
+    file.reps = take_reps_axis(axes);
+    file.grids.push_back(std::move(axes));
+    // Single runs keep their literal seed; grids derive per-cell seeds.
+    file.derive_seeds = grid_requested && !raw_seeds;
+  }
+
   // Handled after the flag loop (unlike the registry listings) so the schema
   // reflects the scenarios the other flags select — entry-declared metrics
   // appear for every workload/adversary/algorithm in play, including ones a
   // --grid axis sweeps in.
   if (list_columns) {
-    MetricSchema schema;
-    if (!suite_path.empty()) {
-      // Listing for a suite file: its own expansion defines the schema, so
-      // the same exclusivity rule as running it applies.
-      if (spec_touched || grid_requested)
-        throw ScenarioError(
-            "--suite cannot be combined with scenario or grid flags; edit "
-            "the suite file (or spell the sweep with --grid)");
-      schema = suite_metric_schema(load_suite_file(suite_path).expand());
-    } else {
-      std::vector<GridAxis> list_axes = parse_grid(grid);
-      (void)take_reps_axis(list_axes);
-      schema = suite_metric_schema(expand_grid(spec, list_axes));
-    }
+    const MetricSchema schema = suite_metric_schema(file.expand());
     std::printf("columns:\n");
     std::size_t key_width = 0;
     std::size_t origin_width = 0;
@@ -338,17 +333,7 @@ int run(int argc, char** argv) {
     return 0;
   }
 
-  // ---- suite-file mode -------------------------------------------------------
-  if (!suite_path.empty()) {
-    // A suite file is the reviewable artifact; flags silently fighting its
-    // contents would defeat the point, so anything that defines the
-    // experiment or the row shape is rejected rather than merged or
-    // dropped. Sink/output/threads are runner choices, not experiment
-    // definition, and stay overridable.
-    if (spec_touched || grid_requested)
-      throw ScenarioError(
-          "--suite cannot be combined with scenario or grid flags; edit the "
-          "suite file (or spell the sweep with --grid)");
+  if (suite_mode) {
     if (csv || wall || raw_seeds || columns_flag.has_value() ||
         summary != SummaryStat::kNone)
       throw ScenarioError(
@@ -356,105 +341,49 @@ int run(int argc, char** argv) {
           "--columns/--summary; set the suite file's \"sink\", \"wall\", "
           "\"derive_seeds\", \"columns\", or \"summary\" keys (or override "
           "the sink alone with --sink)");
-    SuiteFileOverrides overrides;
-    overrides.sink = sink_name;
-    overrides.output = out_path;
-    overrides.threads = threads_flag;
-    overrides.retries = retries_flag;
-    overrides.timeout_s = timeout_flag;
-    overrides.backoff_s = backoff_flag;
-    overrides.faults = faults_flag;
-    overrides.shard = shard_flag;
-    overrides.resume = resume_flag;
-    return sweep_exit_code(run_suite_file(load_suite_file(suite_path),
-                                          overrides));
+  } else {
+    // --csv is the historical shorthand: CSV rows with the wall column. Any
+    // other machine output goes through a registered sink; --out, --columns,
+    // or --summary alone imply the csv sink.
+    if (csv) {
+      if (!sink_name.has_value()) sink_name = "csv";
+      wall = true;
+    } else if (!sink_name.has_value() &&
+               (out_path.has_value() || columns_flag.has_value() ||
+                summary != SummaryStat::kNone)) {
+      sink_name = "csv";
+    }
+    file.include_wall = wall;
+    if (columns_flag.has_value())
+      file.columns = parse_column_list(*columns_flag);
+    file.summary = summary;
   }
+  if (sink_name.has_value()) file.sink = *sink_name;
+  if (out_path.has_value()) file.output = *out_path;
+  if (threads_flag.has_value()) file.threads = *threads_flag;
+  if (retries_flag.has_value()) file.retries = *retries_flag;
+  if (timeout_flag.has_value()) file.timeout_s = *timeout_flag;
+  if (backoff_flag.has_value()) file.backoff_s = *backoff_flag;
+  if (faults_flag.has_value()) file.faults = *faults_flag;
 
-  // Single runs keep their literal seed; grids derive per-cell seeds.
-  if (!grid_requested) options.derive_seeds = false;
+  if (suite_mode || sink_name.has_value())
+    return sweep_exit_code(run_suite_file(file, overrides));
 
-  // A `reps=K` grid axis is a suite-level replication count, not a scenario
-  // override; extract it here so the output grows a rep column exactly when
-  // replication is in play.
-  std::vector<GridAxis> axes = parse_grid(grid);
-  options.reps = take_reps_axis(axes);
-  const bool show_rep = options.reps > 1;
-
-  // --csv is the historical shorthand: CSV rows with the wall column. Any
-  // other machine output goes through a registered sink; --out, --columns,
-  // or --summary alone imply the csv sink.
-  if (csv) {
-    if (!sink_name.has_value()) sink_name = "csv";
-    wall = true;
-  } else if (!sink_name.has_value() &&
-             (out_path.has_value() || columns_flag.has_value() ||
-              summary != SummaryStat::kNone)) {
-    sink_name = "csv";
-  }
-
-  const std::vector<ScenarioSpec> specs = expand_grid(spec, axes);
-
-  FaultPlan faults;  // outlives the runner below
-  if (faults_flag.has_value()) faults = FaultPlan::parse(*faults_flag);
-  if (!faults.empty()) options.faults = &faults;
-
-  // Plan before the sink exists: --resume reads the prior artifact before
-  // a fresh sink truncates PATH.tmp.
-  std::vector<SuiteRun> runs = SuiteRunner(options).plan(specs);
-
-  std::unique_ptr<ResultSink> sink;
-  MetricSchema schema;
-  std::optional<RecordStream> stream;
-  std::optional<ResumeContext> resume;
-  if (sink_name.has_value()) {
-    // The sweep's schema (built-ins + every cell's entry metrics, resolved
-    // once per distinct entry triple); column selection and the per-cell
-    // summary run in RecordStream, shared by every sink.
-    schema = suite_metric_schema(specs);
-    std::vector<std::string> columns =
-        columns_flag.has_value() ? parse_column_list(*columns_flag)
-                                 : default_columns(wall, show_rep);
-    // --wall (incl. --csv's implied wall) is an explicit request; honor it
-    // alongside an explicit selection rather than silently dropping it.
-    if (wall && columns_flag.has_value() &&
-        std::find(columns.begin(), columns.end(), "wall_s") == columns.end())
-      columns.push_back("wall_s");
-    if (resume_flag.has_value())
-      resume = prepare_resume(*sink_name, *resume_flag, runs, schema, columns,
-                              summary);
-    SinkConfig config;
-    if (out_path.has_value()) config.path = *out_path;
-    sink = make_sink(*sink_name, config);
-    if (faults.has_sink_faults())
-      sink = std::make_unique<FaultInjectingSink>(faults, std::move(sink));
-    stream.emplace(*sink, schema, columns,
-                   RecordStream::Options{summary, options.reps});
-  } else if (resume_flag.has_value()) {
+  // ---- human-readable report (no sink rows) ---------------------------------
+  if (overrides.resume.has_value())
     throw ScenarioError(
         "--resume works on a sink artifact; pick the sink it was written "
         "with (--sink/--csv) and the destination (--out)");
+  SuiteOptions options = file.options();
+  if (overrides.shard.has_value()) {
+    options.shard_index = overrides.shard->first;
+    options.shard_count = overrides.shard->second;
   }
-  options.on_result = [&](const SuiteRun& run) {
-    if (stream) {
-      // A kSkipped run inside the shard is a resume substitution: replay
-      // the prior artifact's row byte-for-byte.
-      if (run.status == RunStatus::kSkipped && resume.has_value()) {
-        const std::ptrdiff_t ri = resume->plan.prior_row[run.index];
-        if (ri >= 0) {
-          stream->write(widen_prior_row(
-              resume->prior.rows[static_cast<std::size_t>(ri)], schema));
-          return;
-        }
-      }
-      stream->write(make_run_record(run, schema));
-    } else {
-      print_human(run, show_rep);
-    }
-  };
-
-  SuiteRunner(options).execute(runs);
-  if (stream) stream->finish();
-  return sweep_exit_code(runs);
+  const FaultPlan faults = FaultPlan::parse(file.faults);
+  if (!faults.empty()) options.faults = &faults;
+  const bool show_rep = file.reps > 1;
+  options.on_result = [&](const SuiteRun& run) { print_human(run, show_rep); };
+  return sweep_exit_code(SuiteRunner(options).run(file.expand()));
 }
 
 }  // namespace
