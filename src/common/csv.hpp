@@ -1,11 +1,11 @@
-// Minimal CSV emitter for experiment outputs (stdout or file).
+// CSV both ways for experiment outputs: CsvWriter emits rows, quoting any
+// cell that holds a separator; split_csv_row reads such a row back.
 #pragma once
 
-#include <initializer_list>
+#include <optional>
 #include <ostream>
-#include <sstream>
 #include <string>
-#include <type_traits>
+#include <string_view>
 #include <vector>
 
 namespace colscore {
@@ -13,41 +13,20 @@ namespace colscore {
 class CsvWriter {
  public:
   /// Writes rows to `out`; the header row is emitted on construction.
-  /// Pass emit_header=false when appending to an artifact that already has
-  /// one (the columns still pin the expected row width).
-  CsvWriter(std::ostream& out, std::vector<std::string> columns,
-            bool emit_header = true);
+  CsvWriter(std::ostream& out, const std::vector<std::string>& columns);
 
   /// Number of values must match the header width.
-  void row(std::initializer_list<std::string> values);
   void row(const std::vector<std::string>& values);
 
-  template <typename... Ts>
-  void row_values(const Ts&... vals) {
-    std::vector<std::string> cells;
-    cells.reserve(sizeof...(Ts));
-    (cells.push_back(to_cell(vals)), ...);
-    write_row(cells);
-  }
-
-  std::size_t rows_written() const noexcept { return rows_; }
-
  private:
-  template <typename T>
-  static std::string to_cell(const T& v) {
-    if constexpr (std::is_convertible_v<T, std::string>) {
-      return std::string(v);
-    } else {
-      std::ostringstream os;
-      os << v;
-      return os.str();
-    }
-  }
-  void write_row(const std::vector<std::string>& cells);
-
   std::ostream& out_;
   std::size_t width_;
-  std::size_t rows_ = 0;
 };
+
+/// Splits one CSV line into cells, honoring CsvWriter's quoting ('"'-wrapped
+/// cells, '""' escapes). Embedded newlines are not supported — nothing in
+/// the pipeline emits them. nullopt on a malformed line (unterminated quote,
+/// text after a closing quote).
+std::optional<std::vector<std::string>> split_csv_row(std::string_view line);
 
 }  // namespace colscore

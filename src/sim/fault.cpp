@@ -3,6 +3,7 @@
 #include <csignal>
 #include <cstdlib>
 
+#include "src/common/parse.hpp"
 #include "src/common/thread_pool.hpp"
 
 namespace colscore {
@@ -17,31 +18,17 @@ namespace {
 
 /// Strict non-negative integer ("3"; not "", "-1", "3.5").
 std::size_t parse_index(const std::string& token, const std::string& text) {
-  std::size_t used = 0;
-  std::size_t out = 0;
-  try {
-    if (text.empty() || text[0] == '-') throw ScenarioError("");
-    out = std::stoull(text, &used);
-  } catch (...) {
-    used = 0;
-  }
-  if (used != text.size())
-    bad_token(token, "'" + text + "' is not a non-negative integer");
-  return out;
+  const std::optional<std::uint64_t> v = parse_u64(text);
+  if (!v) bad_token(token, "'" + text + "' is not a non-negative integer");
+  return *v;
 }
 
 /// Strict non-negative seconds ("0.5", "2").
 double parse_seconds(const std::string& token, const std::string& text) {
-  std::size_t used = 0;
-  double out = 0.0;
-  try {
-    out = std::stod(text, &used);
-  } catch (...) {
-    used = 0;
-  }
-  if (text.empty() || used != text.size() || out < 0)
+  const std::optional<double> v = parse_f64(text);
+  if (!v || *v < 0)
     bad_token(token, "'" + text + "' is not a non-negative duration");
-  return out;
+  return *v;
 }
 
 /// Splits a trailing xA attempt count off `text` ("5x2" -> ("5", 2)).

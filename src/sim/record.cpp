@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "src/common/assert.hpp"
+#include "src/common/parse.hpp"
 #include "src/sim/registry.hpp"
 #include "src/sim/suite.hpp"
 
@@ -214,6 +215,24 @@ std::vector<std::string> RunRecord::cells() const {
   out.reserve(values_.size());
   for (std::size_t i = 0; i < values_.size(); ++i) out.push_back(cell_text(i));
   return out;
+}
+
+std::optional<MetricValue> parse_metric_cell(std::string_view text,
+                                             MetricType type) {
+  switch (type) {
+    case MetricType::kU64:
+    case MetricType::kSize:
+      if (const auto u = parse_u64(text)) return MetricValue::of_u64(*u);
+      return std::nullopt;
+    case MetricType::kF64:
+      if (const auto d = parse_f64(text)) return MetricValue::of_f64(*d);
+      return std::nullopt;
+    case MetricType::kString: return MetricValue::of_string(std::string(text));
+    case MetricType::kBool:
+      if (text != "0" && text != "1") return std::nullopt;
+      return MetricValue::of_bool(text == "1");
+  }
+  return std::nullopt;
 }
 
 // ---- entry-published metrics ------------------------------------------------

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -184,6 +185,13 @@ class RunRecord {
   const MetricSchema* schema_;
   std::vector<MetricValue> values_;
 };
+
+/// The inverse of RunRecord::cell_text for a present cell: decodes `text` as
+/// a value of `type` (decimal u64/size, any f64 spelling the formatter emits
+/// including "nan"/"inf"/"-inf", bools "1"/"0", strings verbatim). nullopt
+/// when `text` is not a valid spelling of that type.
+std::optional<MetricValue> parse_metric_cell(std::string_view text,
+                                             MetricType type);
 
 // ---- entry-published metrics ------------------------------------------------
 

@@ -8,6 +8,7 @@
 #include "src/baseline/baselines.hpp"
 #include "src/common/assert.hpp"
 #include "src/common/exec_policy.hpp"
+#include "src/common/parse.hpp"
 #include "src/common/timer.hpp"
 #include "src/core/calculate_preferences.hpp"
 #include "src/protocols/env.hpp"
@@ -24,40 +25,23 @@ namespace {
   throw ScenarioError("override '" + key + "=" + value + "': expected " + want);
 }
 
-std::uint64_t parse_u64(const std::string& key, const std::string& value) {
-  try {
-    // stoull silently wraps negatives ("-1" -> 2^64-1); reject them up front.
-    if (value.empty() || value[0] == '-')
-      bad_value(key, value, "an unsigned integer");
-    std::size_t used = 0;
-    const std::uint64_t v = std::stoull(value, &used);
-    if (used != value.size()) bad_value(key, value, "an unsigned integer");
-    return v;
-  } catch (const ScenarioError&) {
-    throw;
-  } catch (...) {
-    bad_value(key, value, "an unsigned integer");
-  }
+std::uint64_t override_u64(const std::string& key, const std::string& value) {
+  const std::optional<std::uint64_t> v = parse_u64(value);
+  if (!v) bad_value(key, value, "an unsigned integer");
+  return *v;
 }
 
-std::size_t parse_size(const std::string& key, const std::string& value) {
-  return static_cast<std::size_t>(parse_u64(key, value));
+std::size_t override_size(const std::string& key, const std::string& value) {
+  return static_cast<std::size_t>(override_u64(key, value));
 }
 
-double parse_double(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    if (used != value.size()) bad_value(key, value, "a number");
-    return v;
-  } catch (const ScenarioError&) {
-    throw;
-  } catch (...) {
-    bad_value(key, value, "a number");
-  }
+double override_double(const std::string& key, const std::string& value) {
+  const std::optional<double> v = parse_f64(value);
+  if (!v) bad_value(key, value, "a number");
+  return *v;
 }
 
-bool parse_bool(const std::string& key, const std::string& value) {
+bool override_bool(const std::string& key, const std::string& value) {
   if (value == "1" || value == "true" || value == "yes") return true;
   if (value == "0" || value == "false" || value == "no") return false;
   bad_value(key, value, "a boolean (0/1/true/false)");
@@ -111,16 +95,16 @@ constexpr const char* kCoreKeys[] = {
 /// core key.
 bool apply_core_override(Scenario& sc, const std::string& key,
                          const std::string& value) {
-  if (key == "n") sc.n = parse_size(key, value);
-  else if (key == "budget") sc.budget = parse_size(key, value);
-  else if (key == "seed") sc.seed = parse_u64(key, value);
-  else if (key == "diameter") sc.diameter = parse_size(key, value);
-  else if (key == "clusters") sc.n_clusters = parse_size(key, value);
-  else if (key == "dishonest") sc.dishonest = parse_size(key, value);
-  else if (key == "reps") sc.robust_outer_reps = parse_size(key, value);
-  else if (key == "zipf") sc.zipf_sizes = parse_bool(key, value);
-  else if (key == "opt") sc.compute_opt = parse_bool(key, value);
-  else if (key == "paper_params") sc.paper_params = parse_bool(key, value);
+  if (key == "n") sc.n = override_size(key, value);
+  else if (key == "budget") sc.budget = override_size(key, value);
+  else if (key == "seed") sc.seed = override_u64(key, value);
+  else if (key == "diameter") sc.diameter = override_size(key, value);
+  else if (key == "clusters") sc.n_clusters = override_size(key, value);
+  else if (key == "dishonest") sc.dishonest = override_size(key, value);
+  else if (key == "reps") sc.robust_outer_reps = override_size(key, value);
+  else if (key == "zipf") sc.zipf_sizes = override_bool(key, value);
+  else if (key == "opt") sc.compute_opt = override_bool(key, value);
+  else if (key == "paper_params") sc.paper_params = override_bool(key, value);
   else return false;
   return true;
 }
@@ -130,12 +114,12 @@ bool apply_params_override(Params& params, const std::string& key,
                            const std::string& value) {
   for (const auto& f : kParamsDoubleFields)
     if (key == f.key) {
-      params.*(f.member) = parse_double(key, value);
+      params.*(f.member) = override_double(key, value);
       return true;
     }
   for (const auto& f : kParamsSizeFields)
     if (key == f.key) {
-      params.*(f.member) = parse_size(key, value);
+      params.*(f.member) = override_size(key, value);
       return true;
     }
   return false;
@@ -460,7 +444,11 @@ ScenarioSpec& ScenarioSpec::set(std::string key, std::string value) {
 }
 
 ScenarioSpec ScenarioSpec::parse(std::string_view text) {
-  ScenarioSpec spec;
+  return parse(text, ScenarioSpec{});
+}
+
+ScenarioSpec ScenarioSpec::parse(std::string_view text, ScenarioSpec base) {
+  ScenarioSpec spec = std::move(base);
   std::istringstream in{std::string(text)};
   std::string token;
   while (in >> token) {
@@ -522,9 +510,9 @@ void validate_param_value(const ParamSpec& spec, const std::string& value) {
   try {
     switch (spec.type) {
       case ParamType::kSize:
-      case ParamType::kU64: (void)parse_u64(spec.key, value); break;
-      case ParamType::kDouble: (void)parse_double(spec.key, value); break;
-      case ParamType::kBool: (void)parse_bool(spec.key, value); break;
+      case ParamType::kU64: (void)override_u64(spec.key, value); break;
+      case ParamType::kDouble: (void)override_double(spec.key, value); break;
+      case ParamType::kBool: (void)override_bool(spec.key, value); break;
       case ParamType::kString: break;  // any text
     }
   } catch (const ScenarioError&) {
@@ -635,23 +623,23 @@ ScenarioSpec Scenario::to_spec() const {
 // hand with malformed extras — and then they fail loudly, not silently.
 std::size_t Scenario::extra_size(std::string_view key, std::size_t dflt) const {
   const auto it = extra.find(key);
-  return it == extra.end() ? dflt : parse_size(it->first, it->second);
+  return it == extra.end() ? dflt : override_size(it->first, it->second);
 }
 
 std::uint64_t Scenario::extra_u64(std::string_view key,
                                   std::uint64_t dflt) const {
   const auto it = extra.find(key);
-  return it == extra.end() ? dflt : parse_u64(it->first, it->second);
+  return it == extra.end() ? dflt : override_u64(it->first, it->second);
 }
 
 double Scenario::extra_double(std::string_view key, double dflt) const {
   const auto it = extra.find(key);
-  return it == extra.end() ? dflt : parse_double(it->first, it->second);
+  return it == extra.end() ? dflt : override_double(it->first, it->second);
 }
 
 bool Scenario::extra_bool(std::string_view key, bool dflt) const {
   const auto it = extra.find(key);
-  return it == extra.end() ? dflt : parse_bool(it->first, it->second);
+  return it == extra.end() ? dflt : override_bool(it->first, it->second);
 }
 
 std::string Scenario::extra_string(std::string_view key,

@@ -56,8 +56,10 @@ struct ScenarioSpec {
   ScenarioSpec& set(std::string key, std::string value);
 
   /// Parses "workload=planted adversary=sleeper n=512 dishonest=20"
-  /// (whitespace-separated key=value tokens, in any order). Throws
-  /// ScenarioError on malformed tokens.
+  /// (whitespace-separated key=value tokens, in any order) onto `base`
+  /// (default: a default spec): keys the text does not mention keep base's
+  /// values. Throws ScenarioError on malformed tokens.
+  static ScenarioSpec parse(std::string_view text, ScenarioSpec base);
   static ScenarioSpec parse(std::string_view text);
   std::string to_string() const;
 

@@ -3,380 +3,17 @@
 #include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "src/common/assert.hpp"
-#include "src/common/json.hpp"
 #include "src/common/log.hpp"
-
-#if defined(COLSCORE_HAVE_SQLITE)
-#include <sqlite3.h>
-#endif
 
 namespace colscore {
 
 namespace {
 
-[[noreturn]] void resume_fail(const std::string& source,
-                              const std::string& what) {
-  throw ScenarioError("resume '" + source + "': " + what);
-}
-
 bool file_exists(const std::string& path) {
   return std::ifstream(path).good();
 }
-
-// ---- cell decoding ----------------------------------------------------------
-
-/// Strict u64 ("152489"; not "", "-1", "3.5", "1e3").
-bool parse_u64_text(const std::string& text, std::uint64_t& out) {
-  std::size_t used = 0;
-  try {
-    if (text.empty() || text[0] == '-') return false;
-    out = std::stoull(text, &used);
-  } catch (...) {
-    return false;
-  }
-  return used == text.size();
-}
-
-/// Strict f64; accepts the non-finite spellings ("nan", "inf", "-inf") the
-/// formatter emits.
-bool parse_f64_text(const std::string& text, double& out) {
-  std::size_t used = 0;
-  try {
-    out = std::stod(text, &used);
-  } catch (...) {
-    return false;
-  }
-  return !text.empty() && used == text.size();
-}
-
-// ---- text loading -----------------------------------------------------------
-
-/// Reads `source` into complete lines. A final line without its terminating
-/// newline is the one row a crash can cut mid-write (sinks emit whole
-/// '\n'-terminated rows); it is dropped and counted, never parsed — a
-/// truncated numeric cell could otherwise decode to a plausible wrong value.
-std::vector<std::string> read_complete_lines(const std::string& source,
-                                             std::size_t& truncated_rows) {
-  std::ifstream in(source, std::ios::binary);
-  if (!in) resume_fail(source, "cannot open for reading");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string text = std::move(buffer).str();
-  truncated_rows = 0;
-  if (!text.empty() && text.back() != '\n') {
-    const std::size_t nl = text.find_last_of('\n');
-    text.resize(nl == std::string::npos ? 0 : nl + 1);
-    truncated_rows = 1;
-  }
-  std::vector<std::string> lines;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    lines.push_back(text.substr(pos, nl - pos));
-    pos = nl + 1;
-  }
-  return lines;
-}
-
-// ---- jsonl ------------------------------------------------------------------
-
-RunRecord decode_jsonl_row(const JsonValue& doc, const MetricSchema& schema,
-                           const std::string& source,
-                           const std::string& where) {
-  if (!doc.is_object())
-    resume_fail(source, where + ": expected an object, got " +
-                            doc.kind_name());
-  if (doc.members.size() != schema.size())
-    resume_fail(source, where + ": has " + std::to_string(doc.members.size()) +
-                            " fields where the schema has " +
-                            std::to_string(schema.size()));
-  RunRecord row(&schema);
-  for (std::size_t i = 0; i < schema.size(); ++i) {
-    const auto& [key, v] = doc.members[i];
-    const MetricSpec& spec = schema.spec(i);
-    if (key != spec.key)
-      resume_fail(source, where + ": field " + std::to_string(i) + " is '" +
-                              key + "' where the schema has '" + spec.key +
-                              "' (different columns?)");
-    if (v.is_null()) continue;  // absent metric
-    const auto wrong_kind = [&]() {
-      resume_fail(source, where + ": field '" + key + "' is " +
-                              v.kind_name() + " where the schema declares " +
-                              metric_type_name(spec.type));
-    };
-    switch (spec.type) {
-      case MetricType::kU64:
-      case MetricType::kSize: {
-        std::uint64_t u = 0;
-        if (!v.is_number() || !parse_u64_text(v.text, u)) wrong_kind();
-        row.set_value(i, MetricValue::of_u64(u));
-        break;
-      }
-      case MetricType::kF64: {
-        // Finite values are native numbers; non-finite ones are the quoted
-        // spellings JsonlSink emits ("nan", "inf", "-inf").
-        double d = 0.0;
-        if ((!v.is_number() && !v.is_string()) || !parse_f64_text(v.text, d))
-          wrong_kind();
-        row.set_value(i, MetricValue::of_f64(d));
-        break;
-      }
-      case MetricType::kString:
-        if (!v.is_string()) wrong_kind();
-        row.set_value(i, MetricValue::of_string(v.text));
-        break;
-      case MetricType::kBool:
-        if (!v.is_bool()) wrong_kind();
-        row.set_value(i, MetricValue::of_bool(v.boolean));
-        break;
-    }
-  }
-  return row;
-}
-
-void load_jsonl_rows(PriorOutput& out, const MetricSchema& schema) {
-  const std::vector<std::string> lines =
-      read_complete_lines(out.source_path, out.truncated_rows);
-  for (std::size_t li = 0; li < lines.size(); ++li) {
-    const std::string where = "line " + std::to_string(li + 1);
-    if (lines[li].empty()) continue;
-    JsonValue doc;
-    try {
-      doc = json_parse(lines[li]);
-    } catch (const JsonError& e) {
-      resume_fail(out.source_path, where + ": " + e.what());
-    }
-    out.rows.push_back(decode_jsonl_row(doc, schema, out.source_path, where));
-  }
-}
-
-// ---- csv --------------------------------------------------------------------
-
-/// Splits one CSV line into cells, honoring the writer's quoting ('"'-
-/// wrapped cells, '""' escapes). Embedded newlines are not supported —
-/// nothing in the pipeline emits them. Returns false on a malformed line
-/// (unterminated quote, text after a closing quote).
-bool split_csv_row(const std::string& line, std::vector<std::string>& cells) {
-  cells.clear();
-  std::size_t pos = 0;
-  for (;;) {
-    std::string cell;
-    if (pos < line.size() && line[pos] == '"') {
-      ++pos;
-      for (;;) {
-        if (pos >= line.size()) return false;  // unterminated quote
-        if (line[pos] == '"') {
-          if (pos + 1 < line.size() && line[pos + 1] == '"') {
-            cell += '"';
-            pos += 2;
-            continue;
-          }
-          ++pos;
-          break;
-        }
-        cell += line[pos++];
-      }
-      if (pos < line.size() && line[pos] != ',') return false;
-    } else {
-      const std::size_t comma = line.find(',', pos);
-      cell = line.substr(pos, comma - pos);
-      pos = comma == std::string::npos ? line.size() : comma;
-    }
-    cells.push_back(std::move(cell));
-    if (pos >= line.size()) return true;
-    ++pos;  // the comma
-  }
-}
-
-void load_csv_rows(PriorOutput& out, const MetricSchema& schema) {
-  const std::vector<std::string> lines =
-      read_complete_lines(out.source_path, out.truncated_rows);
-  if (lines.empty())
-    resume_fail(out.source_path, "no header row (empty artifact)");
-  std::string header;
-  for (std::size_t i = 0; i < schema.size(); ++i) {
-    if (i != 0) header += ',';
-    header += schema.spec(i).key;
-  }
-  if (lines.front() != header)
-    resume_fail(out.source_path, "header '" + lines.front() +
-                                     "' does not match the suite's columns '" +
-                                     header + "'");
-  std::vector<std::string> cells;
-  for (std::size_t li = 1; li < lines.size(); ++li) {
-    const std::string where = "line " + std::to_string(li + 1);
-    if (!split_csv_row(lines[li], cells))
-      resume_fail(out.source_path, where + ": malformed quoting");
-    if (cells.size() != schema.size())
-      resume_fail(out.source_path,
-                  where + ": has " + std::to_string(cells.size()) +
-                      " cells where the schema has " +
-                      std::to_string(schema.size()));
-    RunRecord row(&schema);
-    for (std::size_t i = 0; i < schema.size(); ++i) {
-      const MetricSpec& spec = schema.spec(i);
-      if (cells[i].empty()) continue;  // absent metric
-      const auto bad_cell = [&]() {
-        resume_fail(out.source_path,
-                    where + ": cell '" + cells[i] + "' under column '" +
-                        spec.key + "' is not a valid " +
-                        metric_type_name(spec.type));
-      };
-      switch (spec.type) {
-        case MetricType::kU64:
-        case MetricType::kSize: {
-          std::uint64_t u = 0;
-          if (!parse_u64_text(cells[i], u)) bad_cell();
-          row.set_value(i, MetricValue::of_u64(u));
-          break;
-        }
-        case MetricType::kF64: {
-          double d = 0.0;
-          if (!parse_f64_text(cells[i], d)) bad_cell();
-          row.set_value(i, MetricValue::of_f64(d));
-          break;
-        }
-        case MetricType::kString:
-          row.set_value(i, MetricValue::of_string(cells[i]));
-          break;
-        case MetricType::kBool:
-          if (cells[i] != "0" && cells[i] != "1") bad_cell();
-          row.set_value(i, MetricValue::of_bool(cells[i] == "1"));
-          break;
-      }
-    }
-    out.rows.push_back(std::move(row));
-  }
-}
-
-// ---- sqlite -----------------------------------------------------------------
-
-#if defined(COLSCORE_HAVE_SQLITE)
-
-std::string sqlite_quote_ident(const std::string& name) {
-  std::string out = "\"";
-  for (char c : name) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-const char* sqlite_affinity(MetricType type) {
-  switch (type) {
-    case MetricType::kU64:
-    case MetricType::kSize:
-    case MetricType::kBool: return "INTEGER";
-    case MetricType::kF64: return "REAL";
-    case MetricType::kString: return "TEXT";
-  }
-  return "TEXT";
-}
-
-void load_sqlite_rows(PriorOutput& out, const MetricSchema& schema) {
-  sqlite3* db = nullptr;
-  if (sqlite3_open_v2(out.source_path.c_str(), &db, SQLITE_OPEN_READONLY,
-                      nullptr) != SQLITE_OK) {
-    const std::string detail =
-        db != nullptr ? sqlite3_errmsg(db) : "out of memory";
-    sqlite3_close(db);
-    resume_fail(out.source_path, "cannot open database: " + detail);
-  }
-  sqlite3_busy_timeout(db, 5000);
-  const auto fail = [&](const std::string& what) {
-    const std::string detail = sqlite3_errmsg(db);
-    sqlite3_close(db);
-    resume_fail(out.source_path, what + ": " + detail);
-  };
-
-  // The `runs` table must mirror the output schema exactly — same names,
-  // same order, same affinities — or the decoded rows would be garbage.
-  sqlite3_stmt* info = nullptr;
-  if (sqlite3_prepare_v2(db, "PRAGMA table_info(runs)", -1, &info, nullptr) !=
-      SQLITE_OK)
-    fail("cannot inspect the 'runs' table");
-  std::vector<std::pair<std::string, std::string>> existing;
-  while (sqlite3_step(info) == SQLITE_ROW) {
-    const unsigned char* name = sqlite3_column_text(info, 1);
-    const unsigned char* type = sqlite3_column_text(info, 2);
-    existing.emplace_back(
-        name != nullptr ? reinterpret_cast<const char*>(name) : "",
-        type != nullptr ? reinterpret_cast<const char*>(type) : "");
-  }
-  sqlite3_finalize(info);
-  const auto table_mismatch = [&](const std::string& what) {
-    sqlite3_close(db);
-    resume_fail(out.source_path,
-                "the 'runs' table does not match the suite schema (" + what +
-                    ")");
-  };
-  if (existing.empty()) table_mismatch("no 'runs' table");
-  if (existing.size() != schema.size())
-    table_mismatch("it has " + std::to_string(existing.size()) +
-                   " columns where the schema has " +
-                   std::to_string(schema.size()));
-  for (std::size_t i = 0; i < schema.size(); ++i) {
-    const MetricSpec& spec = schema.spec(i);
-    if (existing[i].first != spec.key)
-      table_mismatch("column " + std::to_string(i) + " is '" +
-                     existing[i].first + "' where the schema has '" +
-                     spec.key + "'");
-    if (existing[i].second != sqlite_affinity(spec.type))
-      table_mismatch("column '" + spec.key + "' is " + existing[i].second +
-                     " where the schema needs " + sqlite_affinity(spec.type));
-  }
-
-  std::string sql = "SELECT ";
-  for (std::size_t i = 0; i < schema.size(); ++i) {
-    if (i != 0) sql += ", ";
-    sql += sqlite_quote_ident(schema.spec(i).key);
-  }
-  sql += " FROM runs ORDER BY rowid";
-  sqlite3_stmt* select = nullptr;
-  if (sqlite3_prepare_v2(db, sql.c_str(), -1, &select, nullptr) != SQLITE_OK)
-    fail("cannot read the 'runs' table");
-  int rc = 0;
-  while ((rc = sqlite3_step(select)) == SQLITE_ROW) {
-    RunRecord row(&schema);
-    for (std::size_t i = 0; i < schema.size(); ++i) {
-      const int col = static_cast<int>(i);
-      if (sqlite3_column_type(select, col) == SQLITE_NULL) continue;
-      switch (schema.spec(i).type) {
-        case MetricType::kU64:
-        case MetricType::kSize:
-          // The sink binds u64 as the two's-complement int64; cast back.
-          row.set_value(i, MetricValue::of_u64(static_cast<std::uint64_t>(
-                               sqlite3_column_int64(select, col))));
-          break;
-        case MetricType::kF64:
-          row.set_value(i,
-                        MetricValue::of_f64(sqlite3_column_double(select, col)));
-          break;
-        case MetricType::kBool:
-          row.set_value(i, MetricValue::of_bool(
-                               sqlite3_column_int(select, col) != 0));
-          break;
-        case MetricType::kString: {
-          const unsigned char* s = sqlite3_column_text(select, col);
-          row.set_value(i, MetricValue::of_string(
-                               s != nullptr ? reinterpret_cast<const char*>(s)
-                                            : ""));
-          break;
-        }
-      }
-    }
-    out.rows.push_back(std::move(row));
-  }
-  sqlite3_finalize(select);
-  if (rc != SQLITE_DONE) fail("row read failed");
-  sqlite3_close(db);
-}
-
-#endif  // COLSCORE_HAVE_SQLITE
 
 // ---- identity matching ------------------------------------------------------
 
@@ -414,30 +51,23 @@ PriorOutput load_prior_output(std::string_view sink_name,
                               const MetricSchema& out_schema) {
   if (path.empty())
     throw ScenarioError("resume needs a file artifact (an output path)");
-  PriorOutput out;
   // Prefer the crashed run's durable partial over an older complete
-  // artifact: a PATH.tmp only exists when a fresh-mode run did not reach
+  // artifact: a PATH.tmp only exists when a file-sink run did not reach
   // finish(), and that interrupted run is the one being resumed.
   const std::string tmp = path + ".tmp";
-  if (file_exists(tmp)) out.source_path = tmp;
-  else if (file_exists(path)) out.source_path = path;
-  else
+  const std::string source = file_exists(tmp) ? tmp : path;
+  if (!file_exists(source))
     throw ScenarioError("resume '" + path + "': no prior artifact at '" +
                         path + "' or '" + tmp + "'");
-  if (sink_name == "jsonl") {
-    load_jsonl_rows(out, out_schema);
-  } else if (sink_name == "csv") {
-    load_csv_rows(out, out_schema);
-  } else if (sink_name == "sqlite") {
-#if defined(COLSCORE_HAVE_SQLITE)
-    load_sqlite_rows(out, out_schema);
-#else
-    throw ScenarioError("resume: this build has no sqlite support");
-#endif
-  } else {
+  const SinkEntry& sink = SinkRegistry::instance().at(sink_name);
+  if (!sink.read)
     throw ScenarioError("resume: sink '" + std::string(sink_name) +
-                        "' has no artifact reader (supported: csv, jsonl, "
-                        "sqlite)");
+                        "' has no artifact reader");
+  PriorOutput out;
+  try {
+    out = {sink.read(source, out_schema), source};
+  } catch (const ScenarioError& e) {
+    throw ScenarioError("resume '" + source + "': " + e.what());
   }
   if (out.truncated_rows != 0)
     log_warn("resume: discarded ", out.truncated_rows,

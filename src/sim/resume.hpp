@@ -29,25 +29,22 @@
 #include <vector>
 
 #include "src/sim/record.hpp"
+#include "src/sim/sink.hpp"
 #include "src/sim/suite.hpp"
 
 namespace colscore {
 
 /// A prior artifact's rows, decoded onto the output schema they were
 /// written with (the suite schema projected onto the column selection).
-struct PriorOutput {
+struct PriorOutput : SinkRows {
   /// What was actually read: PATH.tmp when a crashed run left one
   /// (preferred — it is the interrupted run being resumed), else PATH.
   std::string source_path;
-  std::vector<RunRecord> rows;
-  /// Partial trailing rows discarded (text sinks; 0 or 1). Sqlite
-  /// transactions never expose a torn row.
-  std::size_t truncated_rows = 0;
 };
 
-/// Reads PATH (or PATH.tmp) back through the sink-specific decoder named by
-/// `sink_name` ("csv", "jsonl", "sqlite"). The returned rows hold a pointer
-/// to `out_schema`, which must outlive them. Throws ScenarioError prefixed
+/// Reads PATH (or PATH.tmp) back through the reader that sink `sink_name`
+/// registered in SinkRegistry. The returned rows hold a pointer to
+/// `out_schema`, which must outlive them. Throws ScenarioError prefixed
 /// "resume 'SOURCE':" on malformed interior rows, a csv header or sqlite
 /// `runs` table that does not match `out_schema`, or a missing artifact.
 PriorOutput load_prior_output(std::string_view sink_name,

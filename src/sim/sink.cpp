@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <sstream>
 
 #include "src/common/assert.hpp"
 #include "src/common/json.hpp"
@@ -17,33 +18,26 @@ namespace colscore {
 namespace {
 
 /// Opens `config` for a text sink: the explicit stream if set, stdout for an
-/// empty path, otherwise a file (ScenarioError on failure). Fresh mode opens
-/// `PATH.tmp` truncated and records the rename for finish(); append mode
-/// opens PATH itself and records nothing.
+/// empty path, otherwise `PATH.tmp` truncated, recording the rename for
+/// finish() (ScenarioError on failure).
 std::ostream* open_text_destination(const char* sink_name,
                                     const SinkConfig& config,
                                     std::ofstream& file, std::string& tmp_path,
                                     std::string& final_path) {
   if (config.stream != nullptr) return config.stream;
   if (config.path.empty()) return &std::cout;
-  std::string open_path = config.path;
-  if (config.append) {
-    file.open(open_path, std::ios::out | std::ios::app);
-  } else {
-    tmp_path = config.path + ".tmp";
-    final_path = config.path;
-    open_path = tmp_path;
-    file.open(open_path, std::ios::out | std::ios::trunc);
-  }
+  tmp_path = config.path + ".tmp";
+  final_path = config.path;
+  file.open(tmp_path, std::ios::out | std::ios::trunc);
   if (!file)
     throw ScenarioError(std::string("sink '") + sink_name +
-                        "': cannot open '" + open_path + "' for writing");
+                        "': cannot open '" + tmp_path + "' for writing");
   return &file;
 }
 
-/// finish() tail for text sinks: close the file and, in fresh mode, rename
-/// the temp artifact into place. Clears `final_path` so a second finish()
-/// is a no-op.
+/// finish() tail for text sinks: close the file and, for a file destination,
+/// rename the temp artifact into place. Clears `final_path` so a second
+/// finish() is a no-op.
 void finalize_text(const char* sink_name, std::ofstream& file,
                    const std::string& tmp_path, std::string& final_path) {
   if (file.is_open()) {
@@ -62,10 +56,32 @@ void finalize_text(const char* sink_name, std::ofstream& file,
   final_path.clear();
 }
 
-/// Whether PATH already holds bytes (csv append: suppress the header).
-bool file_has_content(const std::string& path) {
+/// Reads a text artifact into complete lines. A final line without its
+/// terminating newline is the one row a crash can cut mid-write (text sinks
+/// emit whole '\n'-terminated rows); it is dropped and counted, never parsed
+/// — a truncated numeric cell could otherwise decode to a plausible wrong
+/// value.
+std::vector<std::string> read_complete_lines(const std::string& path,
+                                             std::size_t& truncated_rows) {
   std::ifstream in(path, std::ios::binary);
-  return in.good() && in.peek() != std::ifstream::traits_type::eof();
+  if (!in) throw ScenarioError("cannot open for reading");
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  std::string text = std::move(buffer).str();
+  truncated_rows = 0;
+  if (!text.empty() && text.back() != '\n') {
+    const std::size_t nl = text.find_last_of('\n');
+    text.resize(nl == std::string::npos ? 0 : nl + 1);
+    truncated_rows = 1;
+  }
+  std::vector<std::string> lines;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    const std::size_t nl = text.find('\n', pos);
+    lines.push_back(text.substr(pos, nl - pos));
+    pos = nl + 1;
+  }
+  return lines;
 }
 
 }  // namespace
@@ -112,23 +128,20 @@ void RecordStream::finish() {
 
 // ---- CsvSink ----------------------------------------------------------------
 
-CsvSink::CsvSink(const SinkConfig& config)
-    : batch_rows_(config.batch_rows == 0 ? 1 : config.batch_rows) {
-  suppress_header_ = config.append && config.stream == nullptr &&
-                     !config.path.empty() && file_has_content(config.path);
+CsvSink::CsvSink(const SinkConfig& config) {
   out_ = open_text_destination("csv", config, file_, tmp_path_, final_path_);
 }
 
 void CsvSink::begin(const MetricSchema& schema) {
   CS_ASSERT(!writer_.has_value(), "sink: begin() called twice");
-  writer_.emplace(*out_, schema.keys(), /*emit_header=*/!suppress_header_);
+  writer_.emplace(*out_, schema.keys());
 }
 
 void CsvSink::write(const RunRecord& record) {
   CS_ASSERT(writer_.has_value(), "sink: write() before begin()");
   writer_->row(record.cells());
   ++rows_;
-  if (rows_ % batch_rows_ == 0) out_->flush();  // durability cadence
+  out_->flush();  // durability cadence: every row
 }
 
 void CsvSink::finish() {
@@ -136,10 +149,54 @@ void CsvSink::finish() {
   finalize_text("csv", file_, tmp_path_, final_path_);
 }
 
+namespace {
+
+SinkRows read_csv_artifact(const std::string& path,
+                           const MetricSchema& schema) {
+  SinkRows out;
+  const std::vector<std::string> lines =
+      read_complete_lines(path, out.truncated_rows);
+  if (lines.empty()) throw ScenarioError("no header row (empty artifact)");
+  std::string header;
+  for (std::size_t i = 0; i < schema.size(); ++i) {
+    if (i != 0) header += ',';
+    header += schema.spec(i).key;
+  }
+  if (lines.front() != header)
+    throw ScenarioError("header '" + lines.front() +
+                        "' does not match the suite's columns '" + header +
+                        "'");
+  for (std::size_t li = 1; li < lines.size(); ++li) {
+    const std::string where = "line " + std::to_string(li + 1);
+    const std::optional<std::vector<std::string>> split =
+        split_csv_row(lines[li]);
+    if (!split) throw ScenarioError(where + ": malformed quoting");
+    const std::vector<std::string>& cells = *split;
+    if (cells.size() != schema.size())
+      throw ScenarioError(where + ": has " + std::to_string(cells.size()) +
+                          " cells where the schema has " +
+                          std::to_string(schema.size()));
+    RunRecord row(&schema);
+    for (std::size_t i = 0; i < schema.size(); ++i) {
+      if (cells[i].empty()) continue;  // absent metric
+      const MetricSpec& spec = schema.spec(i);
+      std::optional<MetricValue> value = parse_metric_cell(cells[i], spec.type);
+      if (!value)
+        throw ScenarioError(where + ": cell '" + cells[i] +
+                            "' under column '" + spec.key +
+                            "' is not a valid " + metric_type_name(spec.type));
+      row.set_value(i, std::move(*value));
+    }
+    out.rows.push_back(std::move(row));
+  }
+  return out;
+}
+
+}  // namespace
+
 // ---- JsonlSink --------------------------------------------------------------
 
-JsonlSink::JsonlSink(const SinkConfig& config)
-    : batch_rows_(config.batch_rows == 0 ? 1 : config.batch_rows) {
+JsonlSink::JsonlSink(const SinkConfig& config) {
   out_ = open_text_destination("jsonl", config, file_, tmp_path_, final_path_);
 }
 
@@ -187,13 +244,80 @@ void JsonlSink::write(const RunRecord& record) {
   line += "}\n";
   *out_ << line;
   ++rows_;
-  if (rows_ % batch_rows_ == 0) out_->flush();  // durability cadence
+  out_->flush();  // durability cadence: every row
 }
 
 void JsonlSink::finish() {
   out_->flush();
   finalize_text("jsonl", file_, tmp_path_, final_path_);
 }
+
+namespace {
+
+/// Whether a JSON value has the kind JsonlSink writes for `type`: numbers
+/// for u64/size, numbers or (for the non-finite spellings) strings for f64.
+bool json_kind_fits(const JsonValue& v, MetricType type) {
+  switch (type) {
+    case MetricType::kU64:
+    case MetricType::kSize: return v.is_number();
+    case MetricType::kF64: return v.is_number() || v.is_string();
+    case MetricType::kString: return v.is_string();
+    case MetricType::kBool: return v.is_bool();
+  }
+  return false;
+}
+
+RunRecord decode_jsonl_row(const JsonValue& doc, const MetricSchema& schema,
+                           const std::string& where) {
+  if (!doc.is_object())
+    throw ScenarioError(where + ": expected an object, got " +
+                        doc.kind_name());
+  if (doc.members.size() != schema.size())
+    throw ScenarioError(where + ": has " + std::to_string(doc.members.size()) +
+                        " fields where the schema has " +
+                        std::to_string(schema.size()));
+  RunRecord row(&schema);
+  for (std::size_t i = 0; i < schema.size(); ++i) {
+    const auto& [key, v] = doc.members[i];
+    const MetricSpec& spec = schema.spec(i);
+    if (key != spec.key)
+      throw ScenarioError(where + ": field " + std::to_string(i) + " is '" +
+                          key + "' where the schema has '" + spec.key +
+                          "' (different columns?)");
+    if (v.is_null()) continue;  // absent metric
+    std::optional<MetricValue> value;
+    if (json_kind_fits(v, spec.type))
+      value = parse_metric_cell(v.is_bool() ? (v.boolean ? "1" : "0") : v.text,
+                                spec.type);
+    if (!value)
+      throw ScenarioError(where + ": field '" + key + "' is " +
+                          v.kind_name() + " where the schema declares " +
+                          metric_type_name(spec.type));
+    row.set_value(i, std::move(*value));
+  }
+  return row;
+}
+
+SinkRows read_jsonl_artifact(const std::string& path,
+                             const MetricSchema& schema) {
+  SinkRows out;
+  const std::vector<std::string> lines =
+      read_complete_lines(path, out.truncated_rows);
+  for (std::size_t li = 0; li < lines.size(); ++li) {
+    if (lines[li].empty()) continue;
+    const std::string where = "line " + std::to_string(li + 1);
+    JsonValue doc;
+    try {
+      doc = json_parse(lines[li]);
+    } catch (const JsonError& e) {
+      throw ScenarioError(where + ": " + e.what());
+    }
+    out.rows.push_back(decode_jsonl_row(doc, schema, where));
+  }
+  return out;
+}
+
+}  // namespace
 
 // ---- SqliteSink -------------------------------------------------------------
 
@@ -229,36 +353,30 @@ const char* column_affinity(MetricType type) {
   return "TEXT";
 }
 
+/// Rows per transaction (see the ResultSink durability contract).
+constexpr std::size_t kCommitRows = 64;
+
 }  // namespace
 
-SqliteSink::SqliteSink(const SinkConfig& config)
-    : append_(config.append),
-      batch_rows_(config.batch_rows == 0 ? 64 : config.batch_rows) {
+SqliteSink::SqliteSink(const SinkConfig& config) {
   if (config.stream != nullptr || config.path.empty())
     throw ScenarioError(
         "sink 'sqlite' writes a database file; pass an output path (--out "
         "PATH or the suite file's \"output\" key)");
-  std::string open_path = config.path;
-  if (!append_) {
-    tmp_path_ = config.path + ".tmp";
-    final_path_ = config.path;
-    open_path = tmp_path_;
-    // A stale temp database from a crashed run would make CREATE TABLE
-    // collide; the committed rows it holds belong to --resume, which reads
-    // it *before* the new sink is constructed.
-    std::remove(tmp_path_.c_str());
-  }
-  if (sqlite3_open(open_path.c_str(), &db_) != SQLITE_OK) {
+  tmp_path_ = config.path + ".tmp";
+  final_path_ = config.path;
+  // A stale temp database from a crashed run would make CREATE TABLE
+  // collide; the committed rows it holds belong to --resume, which reads it
+  // *before* the new sink is constructed.
+  std::remove(tmp_path_.c_str());
+  if (sqlite3_open(tmp_path_.c_str(), &db_) != SQLITE_OK) {
     const std::string detail =
         db_ != nullptr ? sqlite3_errmsg(db_) : "out of memory";
     sqlite3_close(db_);
     db_ = nullptr;
-    throw ScenarioError("sink 'sqlite': cannot open '" + open_path +
+    throw ScenarioError("sink 'sqlite': cannot open '" + tmp_path_ +
                         "': " + detail);
   }
-  // Concurrent shard writers appending to one database contend for the
-  // write lock; wait out the other writer's commit instead of failing.
-  sqlite3_busy_timeout(db_, 5000);
 }
 
 SqliteSink::~SqliteSink() {
@@ -310,62 +428,18 @@ void SqliteSink::begin(const MetricSchema& schema) {
   }
   create += ")";
   insert += ")";
-  if (append_) {
-    create_or_validate_table(schema, create);
-  } else {
-    // The temp database is fresh, but DROP keeps a re-used handle honest.
-    exec("DROP TABLE IF EXISTS runs");
-    exec(create);
-  }
+  // The temp database is fresh, but DROP keeps a re-used handle honest.
+  exec("DROP TABLE IF EXISTS runs");
+  exec(create);
   // Batched transactions: per-row commits would fsync every run and
   // dominate large sweeps, while one suite-wide transaction would leave
-  // nothing durable after a crash. Every batch_rows_ rows, write() commits
+  // nothing durable after a crash. Every kCommitRows rows, write() commits
   // and reopens (a durability point for --resume).
   exec("BEGIN TRANSACTION");
   in_transaction_ = true;
   if (sqlite3_prepare_v2(db_, insert.c_str(), -1, &insert_, nullptr) !=
       SQLITE_OK)
     sqlite_fail(db_, "cannot prepare row insert");
-}
-
-void SqliteSink::create_or_validate_table(const MetricSchema& schema,
-                                          const std::string& create_sql) {
-  sqlite3_stmt* info = nullptr;
-  if (sqlite3_prepare_v2(db_, "PRAGMA table_info(runs)", -1, &info, nullptr) !=
-      SQLITE_OK)
-    sqlite_fail(db_, "cannot inspect the existing 'runs' table");
-  std::vector<std::pair<std::string, std::string>> existing;  // (name, type)
-  while (sqlite3_step(info) == SQLITE_ROW) {
-    const unsigned char* name = sqlite3_column_text(info, 1);
-    const unsigned char* type = sqlite3_column_text(info, 2);
-    existing.emplace_back(
-        name != nullptr ? reinterpret_cast<const char*>(name) : "",
-        type != nullptr ? reinterpret_cast<const char*>(type) : "");
-  }
-  sqlite3_finalize(info);
-  if (existing.empty()) {  // no table yet — the first writer creates it
-    exec(create_sql);
-    return;
-  }
-  const auto mismatch = [](const std::string& what) {
-    throw ScenarioError(
-        "sink 'sqlite': existing 'runs' table does not match the suite "
-        "schema (" + what +
-        "); appending would interleave incompatible rows — point the output "
-        "at a fresh database or drop the table");
-  };
-  if (existing.size() != schema.size())
-    mismatch("it has " + std::to_string(existing.size()) +
-             " columns where the schema has " + std::to_string(schema.size()));
-  for (std::size_t i = 0; i < schema.size(); ++i) {
-    const MetricSpec& spec = schema.spec(i);
-    if (existing[i].first != spec.key)
-      mismatch("column " + std::to_string(i) + " is '" + existing[i].first +
-               "' where the schema has '" + spec.key + "'");
-    if (existing[i].second != column_affinity(spec.type))
-      mismatch("column '" + spec.key + "' is " + existing[i].second +
-               " where the schema needs " + column_affinity(spec.type));
-  }
 }
 
 void SqliteSink::write(const RunRecord& record) {
@@ -406,7 +480,7 @@ void SqliteSink::write(const RunRecord& record) {
     sqlite_fail(db_, "cannot insert row");
   sqlite3_reset(insert_);
   ++rows_;
-  if (rows_ % batch_rows_ == 0) {  // durability point
+  if (rows_ % kCommitRows == 0) {  // durability point
     exec("COMMIT");
     exec("BEGIN TRANSACTION");
   }
@@ -424,13 +498,108 @@ void SqliteSink::finish() {
   }
   sqlite3_close(db_);
   db_ = nullptr;
-  if (!final_path_.empty()) {
-    if (std::rename(tmp_path_.c_str(), final_path_.c_str()) != 0)
-      throw ScenarioError("sink 'sqlite': cannot rename '" + tmp_path_ +
-                          "' to '" + final_path_ + "'");
-    final_path_.clear();
-  }
+  if (std::rename(tmp_path_.c_str(), final_path_.c_str()) != 0)
+    throw ScenarioError("sink 'sqlite': cannot rename '" + tmp_path_ +
+                        "' to '" + final_path_ + "'");
 }
+
+namespace {
+
+std::string column_text(sqlite3_stmt* stmt, int col) {
+  const unsigned char* text = sqlite3_column_text(stmt, col);
+  return text != nullptr ? reinterpret_cast<const char*>(text) : "";
+}
+
+SinkRows read_sqlite_artifact(const std::string& path,
+                              const MetricSchema& schema) {
+  sqlite3* raw = nullptr;
+  if (sqlite3_open_v2(path.c_str(), &raw, SQLITE_OPEN_READONLY, nullptr) !=
+      SQLITE_OK) {
+    const std::string detail =
+        raw != nullptr ? sqlite3_errmsg(raw) : "out of memory";
+    sqlite3_close(raw);
+    throw ScenarioError("cannot open database: " + detail);
+  }
+  const std::unique_ptr<sqlite3, int (*)(sqlite3*)> db(raw, sqlite3_close);
+  sqlite3_busy_timeout(raw, 5000);
+  const auto fail = [&](const std::string& what) {
+    throw ScenarioError(what + ": " + sqlite3_errmsg(raw));
+  };
+
+  // The `runs` table must mirror the schema exactly — same names, same
+  // order, same affinities — or the decoded rows would be garbage.
+  sqlite3_stmt* info = nullptr;
+  if (sqlite3_prepare_v2(raw, "PRAGMA table_info(runs)", -1, &info,
+                         nullptr) != SQLITE_OK)
+    fail("cannot inspect the 'runs' table");
+  std::vector<std::pair<std::string, std::string>> existing;  // (name, type)
+  while (sqlite3_step(info) == SQLITE_ROW)
+    existing.emplace_back(column_text(info, 1), column_text(info, 2));
+  sqlite3_finalize(info);
+  const auto table_mismatch = [](const std::string& what) {
+    throw ScenarioError(
+        "the 'runs' table does not match the suite schema (" + what + ")");
+  };
+  if (existing.empty()) table_mismatch("no 'runs' table");
+  if (existing.size() != schema.size())
+    table_mismatch("it has " + std::to_string(existing.size()) +
+                   " columns where the schema has " +
+                   std::to_string(schema.size()));
+  for (std::size_t i = 0; i < schema.size(); ++i) {
+    const MetricSpec& spec = schema.spec(i);
+    if (existing[i].first != spec.key)
+      table_mismatch("column " + std::to_string(i) + " is '" +
+                     existing[i].first + "' where the schema has '" +
+                     spec.key + "'");
+    if (existing[i].second != column_affinity(spec.type))
+      table_mismatch("column '" + spec.key + "' is " + existing[i].second +
+                     " where the schema needs " + column_affinity(spec.type));
+  }
+
+  std::string sql = "SELECT ";
+  for (std::size_t i = 0; i < schema.size(); ++i) {
+    if (i != 0) sql += ", ";
+    sql += quote_ident(schema.spec(i).key);
+  }
+  sql += " FROM runs ORDER BY rowid";
+  sqlite3_stmt* select = nullptr;
+  if (sqlite3_prepare_v2(raw, sql.c_str(), -1, &select, nullptr) != SQLITE_OK)
+    fail("cannot read the 'runs' table");
+  SinkRows out;
+  int rc = 0;
+  while ((rc = sqlite3_step(select)) == SQLITE_ROW) {
+    RunRecord row(&schema);
+    for (std::size_t i = 0; i < schema.size(); ++i) {
+      const int col = static_cast<int>(i);
+      if (sqlite3_column_type(select, col) == SQLITE_NULL) continue;
+      switch (schema.spec(i).type) {
+        case MetricType::kU64:
+        case MetricType::kSize:
+          // The sink binds u64 as the two's-complement int64; cast back.
+          row.set_value(i, MetricValue::of_u64(static_cast<std::uint64_t>(
+                               sqlite3_column_int64(select, col))));
+          break;
+        case MetricType::kF64:
+          row.set_value(
+              i, MetricValue::of_f64(sqlite3_column_double(select, col)));
+          break;
+        case MetricType::kBool:
+          row.set_value(i, MetricValue::of_bool(
+                               sqlite3_column_int(select, col) != 0));
+          break;
+        case MetricType::kString:
+          row.set_value(i, MetricValue::of_string(column_text(select, col)));
+          break;
+      }
+    }
+    out.rows.push_back(std::move(row));
+  }
+  sqlite3_finalize(select);
+  if (rc != SQLITE_DONE) fail("row read failed");
+  return out;
+}
+
+}  // namespace
 
 #endif  // COLSCORE_HAVE_SQLITE
 
@@ -443,19 +612,22 @@ SinkRegistry& SinkRegistry::instance() {
                    "output)",
                    [](const SinkConfig& config) -> std::unique_ptr<ResultSink> {
                      return std::make_unique<CsvSink>(config);
-                   }});
+                   },
+                   read_csv_artifact});
     r->add("jsonl",
            {"JSON Lines: one object per run, native numbers, keys = columns",
             [](const SinkConfig& config) -> std::unique_ptr<ResultSink> {
               return std::make_unique<JsonlSink>(config);
-            }});
+            },
+            read_jsonl_artifact});
 #if defined(COLSCORE_HAVE_SQLITE)
     r->add("sqlite",
            {"sqlite database with a typed `runs` table (INTEGER/REAL "
             "affinities; query sweeps without parsing)",
             [](const SinkConfig& config) -> std::unique_ptr<ResultSink> {
               return std::make_unique<SqliteSink>(config);
-            }});
+            },
+            read_sqlite_artifact});
 #endif
     return r;
   }();

@@ -12,9 +12,12 @@
 //
 // Sinks are a registry like workloads/adversaries/algorithms: registering a
 // name and a factory is the whole integration (`colscore_cli --sink NAME`
-// and suite files' "sink" key look names up here). The sqlite sink links the
-// system sqlite3 library and is compiled out — absent from the registry, not
-// stubbed — when the toolchain lacks it (COLSCORE_HAVE_SQLITE).
+// and suite files' "sink" key look names up here). Each entry also owns its
+// artifact format in the other direction: its reader decodes what the sink
+// wrote back into typed rows, which is how --resume picks up a prior run.
+// The sqlite sink links the system sqlite3 library and is compiled out —
+// absent from the registry, not stubbed — when the toolchain lacks it
+// (COLSCORE_HAVE_SQLITE).
 //
 // Column selection (--columns / a suite file's "columns") and per-cell
 // summary aggregation over reps are applied *in front of* the sink by
@@ -46,20 +49,17 @@ namespace colscore {
 /// (RecordStream guarantees it).
 ///
 /// Durability / partial-output contract (crash tolerance):
-///  - A file sink in fresh mode writes to `PATH.tmp` and atomically renames
-///    it to PATH in finish(). PATH therefore only ever holds a *complete*
-///    artifact; a crashed or aborted suite leaves PATH.tmp behind instead.
-///  - Rows become durable on a batch cadence (SinkConfig::batch_rows): text
-///    sinks flush the stream every batch (default: every row), sqlite
-///    commits a transaction every batch (default: 64 rows). After a crash,
-///    PATH.tmp holds every row durable at the last cadence point — in run
-///    order with no gaps — and `--resume` accepts PATH or PATH.tmp.
+///  - A file sink writes to `PATH.tmp` and atomically renames it to PATH in
+///    finish(). PATH therefore only ever holds a *complete* artifact; a
+///    crashed or aborted suite leaves PATH.tmp behind instead.
+///  - Rows become durable on a fixed cadence: text sinks flush the stream
+///    after every row, sqlite commits a transaction every 64 rows. After a
+///    crash, PATH.tmp holds every row durable at the last cadence point — in
+///    run order with no gaps — and `--resume` accepts PATH or PATH.tmp.
 ///  - finish() is the explicit success path; call it to observe errors.
 ///    Destructors without finish() are the *abort* path: they release
 ///    resources but do not rename, so a failed suite never clobbers a
 ///    previous complete artifact.
-/// Append mode (SinkConfig::append) writes into PATH directly (no .tmp, no
-/// rename) so cooperating writers — shards — can extend one artifact.
 class ResultSink {
  public:
   virtual ~ResultSink() = default;
@@ -80,14 +80,6 @@ class ResultSink {
 struct SinkConfig {
   std::string path;
   std::ostream* stream = nullptr;
-  /// Extend an existing artifact at `path` instead of replacing it: no
-  /// .tmp/rename, csv suppresses its header when the file already has rows,
-  /// sqlite keeps (and validates) an existing `runs` table. Ignored for
-  /// stream/stdout destinations.
-  bool append = false;
-  /// Rows per durability batch (see the ResultSink contract). 0 picks the
-  /// sink's default: 1 for text sinks, 64 for sqlite.
-  std::size_t batch_rows = 0;
 };
 
 // ---- selection + summary ----------------------------------------------------
@@ -145,9 +137,7 @@ class CsvSink : public ResultSink {
   std::ofstream file_;
   std::ostream* out_;
   std::string tmp_path_;    // rename tmp_path_ -> final_path_ in finish()
-  std::string final_path_;  // empty: stream/stdout/append, nothing to rename
-  bool suppress_header_ = false;  // appending to a file that already has one
-  std::size_t batch_rows_ = 1;
+  std::string final_path_;  // empty: stream/stdout, nothing to rename
   std::optional<CsvWriter> writer_;
 };
 
@@ -169,7 +159,6 @@ class JsonlSink : public ResultSink {
   std::ostream* out_;
   std::string tmp_path_;
   std::string final_path_;
-  std::size_t batch_rows_ = 1;
   MetricSchema schema_;
 };
 
@@ -179,19 +168,16 @@ class JsonlSink : public ResultSink {
 /// TEXT for strings; absent metrics are NULL. u64 values are stored as
 /// sqlite's signed 64-bit integers (two's-complement bit pattern), so a
 /// value >= 2^63 reads back exactly via a cast of sqlite3_column_int64 but
-/// *prints* negative in raw SQL.
+/// *prints* negative in raw SQL. REAL storage has two gaps: sqlite stores a
+/// NaN as NULL (so SQL aggregates skip it, and it reads back absent), and
+/// it drops the sign of a zero (-0.0 reads back as 0.0).
 ///
-/// Fresh mode builds the database at PATH.tmp (replacing a stale one) and
-/// renames it over PATH in finish(), so a re-run reproduces the file and a
-/// crash never leaves PATH half-written. Append mode opens PATH itself and
-/// keeps an existing `runs` table — after validating that its columns match
-/// the suite schema exactly (a mismatch throws a ScenarioError naming the
-/// first divergence rather than failing on insert). Inserts run in batched
-/// transactions (SinkConfig::batch_rows, default 64): each commit is a
-/// durability point for resume. A 5s busy timeout tolerates concurrent
-/// shard writers appending to one database. The destructor without
-/// finish() rolls the open transaction back and does not rename (the abort
-/// path of the partial-output contract).
+/// The database is built at PATH.tmp (replacing a stale one) and renamed
+/// over PATH in finish(), so a re-run reproduces the file and a crash never
+/// leaves PATH half-written. Inserts run in transactions of 64 rows: each
+/// commit is a durability point for resume. The destructor without finish()
+/// rolls the open transaction back and does not rename (the abort path of
+/// the partial-output contract).
 class SqliteSink : public ResultSink {
  public:
   explicit SqliteSink(const SinkConfig& config);
@@ -203,29 +189,40 @@ class SqliteSink : public ResultSink {
 
  private:
   void exec(const std::string& sql);
-  void create_or_validate_table(const MetricSchema& schema,
-                                const std::string& create_sql);
 
   sqlite3* db_ = nullptr;
   sqlite3_stmt* insert_ = nullptr;
   std::vector<MetricType> types_;
   std::string tmp_path_;
-  std::string final_path_;  // empty in append mode: nothing to rename
-  bool append_ = false;
-  std::size_t batch_rows_ = 64;
+  std::string final_path_;
   bool in_transaction_ = false;
 };
 #endif  // COLSCORE_HAVE_SQLITE
 
 // ---- sink registry ----------------------------------------------------------
 
+/// Rows a sink's reader decoded from an artifact.
+struct SinkRows {
+  std::vector<RunRecord> rows;
+  /// Partial trailing rows dropped (text sinks: 0 or 1, the one write a
+  /// crash can cut mid-row). Sqlite transactions never expose a torn row.
+  std::size_t truncated_rows = 0;
+};
+
 struct SinkEntry {
   std::string description;
   std::function<std::unique_ptr<ResultSink>(const SinkConfig&)> make;
+  /// Decodes the artifact this sink wrote at `path` back into rows on
+  /// `schema`, the schema it was written with (the rows point at it). Throws
+  /// ScenarioError on a malformed interior row or a header/table that does
+  /// not match `schema`. Empty for sinks whose output cannot be read back.
+  std::function<SinkRows(const std::string& path, const MetricSchema& schema)>
+      read;
 };
 
-/// Name -> sink factory. Built-ins: "csv", "jsonl", and "sqlite" when
-/// compiled in. Downstream code registers new sinks exactly like workloads.
+/// Name -> sink factory + reader. Built-ins: "csv", "jsonl", and "sqlite"
+/// when compiled in. Downstream code registers new sinks exactly like
+/// workloads.
 class SinkRegistry : public Registry<SinkEntry> {
  public:
   static SinkRegistry& instance();

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "src/common/exec_policy.hpp"
+#include "src/common/parse.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/common/timer.hpp"
 #include "src/sim/fault.hpp"
@@ -70,21 +71,12 @@ std::size_t take_reps_axis(std::vector<GridAxis>& axes) {
           "robust algorithm's outer repetitions, set them on the base spec: "
           "--set reps=R)");
     const std::string& value = it->values.front();
-    // stoull silently wraps negatives ("-2" -> huge), so reject them up
-    // front like the registry's override parser does.
-    std::size_t used = 0;
-    std::size_t reps = 0;
-    try {
-      if (value.empty() || value[0] == '-') throw ScenarioError("");
-      reps = std::stoull(value, &used);
-    } catch (...) {
-      used = 0;
-    }
-    if (used != value.size() || reps == 0)
+    const std::optional<std::uint64_t> reps = parse_u64(value);
+    if (!reps || *reps == 0)
       throw ScenarioError("grid axis 'reps=" + value +
                           "': expected a positive integer");
     axes.erase(it);
-    return reps;
+    return *reps;
   }
   return 1;
 }
@@ -118,18 +110,10 @@ std::pair<std::size_t, std::size_t> parse_shard(std::string_view text) {
   if (slash == std::string_view::npos || slash == 0 ||
       slash + 1 >= text.size())
     throw malformed();
-  const auto parse_part = [&](std::string_view part) {
-    std::size_t used = 0;
-    std::size_t out = 0;
-    try {
-      const std::string s(part);
-      if (s.empty() || s[0] == '-') throw ScenarioError("");
-      out = std::stoull(s, &used);
-    } catch (...) {
-      used = 0;
-    }
-    if (used != part.size()) throw malformed();
-    return out;
+  const auto parse_part = [&](std::string_view part) -> std::size_t {
+    const std::optional<std::uint64_t> v = parse_u64(part);
+    if (!v) throw malformed();
+    return *v;
   };
   const std::size_t index = parse_part(text.substr(0, slash));
   const std::size_t count = parse_part(text.substr(slash + 1));

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "src/common/json.hpp"
+#include "src/common/parse.hpp"
 #include "src/sim/fault.hpp"
 #include "src/sim/resume.hpp"
 
@@ -46,17 +47,11 @@ bool require_bool(const std::string& origin, const char* key,
 std::uint64_t require_integer(const std::string& origin, const char* key,
                               const JsonValue& v) {
   if (!v.is_number()) wrong_type(origin, key, "an integer", v);
-  std::size_t used = 0;
-  std::uint64_t out = 0;
-  try {
-    if (!v.text.empty() && v.text[0] != '-') out = std::stoull(v.text, &used);
-  } catch (...) {
-    used = 0;
-  }
-  if (used != v.text.size())
+  const std::optional<std::uint64_t> out = parse_u64(v.text);
+  if (!out)
     fail(origin, std::string("\"") + key + "\" must be a non-negative "
                      "integer (got " + v.text + ")");
-  return out;
+  return *out;
 }
 
 /// A non-negative number ("0.25", "3"); doubles are fine here (durations),
@@ -295,7 +290,7 @@ std::vector<SuiteRun> run_suite_file(const SuiteFile& file,
     columns.push_back("wall_s");
 
   // Plan before the sink exists: resume must read the prior artifact before
-  // a fresh-mode sink truncates PATH.tmp (resuming onto the same path is
+  // a file sink truncates PATH.tmp (resuming onto the same path is
   // the common case).
   std::vector<SuiteRun> runs = SuiteRunner(options).plan(specs);
   std::optional<ResumeContext> resume;

@@ -84,10 +84,12 @@ TEST(Cli, GridSweepMatchesTheSuiteFileByteForByte) {
 TEST(Cli, MalformedNumericFlagsPrintUsage) {
   const std::string out = temp_path("cli_usage.out");
   const std::string err = temp_path("cli_usage.err");
-  // -1 would wrap to 2^64-1 threads, nan would silently disable the
-  // timeout, and inf would make any retry sleep forever.
+  // -1 (padded or not) would wrap to 2^64-1 threads or retries, nan would
+  // silently disable the timeout, and inf would make any retry sleep
+  // forever.
   for (const char* flag :
-       {"--threads -1", "--timeout-s nan", "--backoff-s inf"}) {
+       {"--threads -1", "--threads ' -1'", "--retries ' -1'",
+        "--timeout-s nan", "--backoff-s inf"}) {
     EXPECT_EQ(run_cli(std::string(flag) + " --n 16 --budget 2 --no-opt", out,
                       err),
               2)

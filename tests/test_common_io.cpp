@@ -1,13 +1,16 @@
-// Tests for the small common utilities: CSV emission, logging levels, math
-// helpers, and the protocol environment glue.
+// Tests for the small common utilities: CSV both ways, strict number
+// parsing, logging levels, math helpers, and the protocol environment glue.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 
 #include "src/common/csv.hpp"
 #include "src/common/log.hpp"
 #include "src/common/mathutil.hpp"
+#include "src/common/parse.hpp"
 #include "tests/test_util.hpp"
 
 namespace colscore {
@@ -17,9 +20,7 @@ TEST(Csv, HeaderAndRows) {
   std::ostringstream os;
   CsvWriter w(os, {"a", "b", "c"});
   w.row({"1", "2", "3"});
-  w.row_values(4, 5.5, "six");
-  EXPECT_EQ(os.str(), "a,b,c\n1,2,3\n4,5.5,six\n");
-  EXPECT_EQ(w.rows_written(), 2u);
+  EXPECT_EQ(os.str(), "a,b,c\n1,2,3\n");
 }
 
 TEST(Csv, QuotesSpecialCharacters) {
@@ -27,12 +28,37 @@ TEST(Csv, QuotesSpecialCharacters) {
   CsvWriter w(os, {"x", "y"});
   w.row({"has,comma", "has\"quote"});
   EXPECT_EQ(os.str(), "x,y\n\"has,comma\",\"has\"\"quote\"\n");
+  // split_csv_row inverts the quoting and keeps a trailing empty cell.
+  EXPECT_EQ(split_csv_row("\"has,comma\",\"has\"\"quote\","),
+            (std::vector<std::string>{"has,comma", "has\"quote", ""}));
+  EXPECT_FALSE(split_csv_row("\"unterminated"));
+  EXPECT_FALSE(split_csv_row("\"closed\"junk"));
 }
 
 TEST(Csv, RowWidthEnforced) {
   std::ostringstream os;
   CsvWriter w(os, {"only"});
   EXPECT_DEATH(w.row({"a", "b"}), "width");
+}
+
+TEST(Parse, U64TakesOnlyPlainDecimal) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), ~std::uint64_t{0});
+  for (const char* bad : {"", "+1", " 1", "1 ", "-1", " -1", "-0",
+                          "18446744073709551616", "12x", "0x10", "1e3", "3.5"})
+    EXPECT_FALSE(parse_u64(bad)) << "'" << bad << "'";
+}
+
+TEST(Parse, F64TakesDecimalAndTheFormattersNonFiniteSpellings) {
+  EXPECT_EQ(parse_f64("0.25"), 0.25);
+  EXPECT_EQ(parse_f64("-3"), -3.0);
+  EXPECT_EQ(parse_f64("1e-300"), 1e-300);
+  EXPECT_TRUE(std::signbit(parse_f64("-0").value()));
+  EXPECT_TRUE(std::isnan(parse_f64("nan").value()));
+  EXPECT_EQ(parse_f64("inf"), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(parse_f64("-inf"), -std::numeric_limits<double>::infinity());
+  for (const char* bad : {"", "+1", " 1", "1 ", "0.5x", "0x1p3", "1e400"})
+    EXPECT_FALSE(parse_f64(bad)) << "'" << bad << "'";
 }
 
 TEST(Log, LevelGate) {

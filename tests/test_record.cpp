@@ -12,6 +12,7 @@
 #include <limits>
 #include <sstream>
 
+#include "src/common/csv.hpp"
 #include "src/common/json.hpp"
 #include "src/model/behavior.hpp"
 #include "src/sim/sink.hpp"
@@ -28,7 +29,6 @@ namespace {
 
 using testutil::kGoldenRow;
 using testutil::kGoldenScenario;
-using testutil::split_csv_line;
 
 /// Runs `spec_text` serially with its literal seed and returns the SuiteRun.
 SuiteRun run_one(const std::string& spec_text) {
@@ -65,7 +65,7 @@ TEST(RunRecordTest, DefaultColumnCellsMatchTheDeterminismGolden) {
   const RunRecord record = make_run_record(run, schema);
 
   const std::vector<std::string> columns = default_columns();
-  const std::vector<std::string> golden = split_csv_line(kGoldenRow);
+  const std::vector<std::string> golden = split_csv_row(kGoldenRow).value();
   ASSERT_EQ(columns.size(), golden.size());
   for (std::size_t i = 0; i < columns.size(); ++i)
     EXPECT_EQ(record.cell_text(schema.index_of(columns[i])), golden[i])

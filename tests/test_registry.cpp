@@ -61,6 +61,15 @@ TEST(ScenarioSpec, ParseToStringRoundTrips) {
   EXPECT_EQ(ScenarioSpec::parse(defaults.to_string()), defaults);
 }
 
+TEST(ScenarioSpec, ParseAppliesTokensOntoABase) {
+  ScenarioSpec base;
+  base.adversary = "sleeper";
+  base.set("budget", "4").set("dishonest", "8");
+  ScenarioSpec want = base;
+  want.set("budget", "2").set("n", "64");
+  EXPECT_EQ(ScenarioSpec::parse("n=64 budget=2", base), want);
+}
+
 TEST(ScenarioSpec, ParseRejectsMalformedTokens) {
   EXPECT_THROW(ScenarioSpec::parse("n512"), ScenarioError);
   EXPECT_THROW(ScenarioSpec::parse("n="), ScenarioError);
@@ -99,6 +108,10 @@ TEST(Scenario, ResolveRejectsUnknownOverrideKeys) {
 TEST(Scenario, ResolveRejectsBadValues) {
   EXPECT_THROW(Scenario::resolve(ScenarioSpec::parse("n=abc")), ScenarioError);
   EXPECT_THROW(Scenario::resolve(ScenarioSpec::parse("n=12x")), ScenarioError);
+  // A padded negative must not wrap to 2^64-1 (whitespace never splits a
+  // --set or suite-file value the way it splits a spec string).
+  EXPECT_THROW(Scenario::resolve(ScenarioSpec{}.set("n", " -1")),
+               ScenarioError);
   EXPECT_THROW(Scenario::resolve(ScenarioSpec::parse("zipf=maybe")),
                ScenarioError);
 }

@@ -118,11 +118,14 @@ TEST(ResumeEquivalence, SqliteMergesByteIdentical) {
 
 // ---- torn tails -------------------------------------------------------------
 
-TEST(ResumeTornTail, TruncatedJsonlLastLineIsReRun) {
-  const std::string path = temp_path("resume_torn.jsonl");
-  const std::string clean = temp_path("resume_torn_clean.jsonl");
-  ASSERT_EQ(suite_failure_count(run_acceptance("jsonl", clean)), 0u);
-  ASSERT_EQ(suite_failure_count(run_acceptance("jsonl", path)), 0u);
+class ResumeTornTail : public testing::TestWithParam<const char*> {};
+
+TEST_P(ResumeTornTail, TruncatedLastLineIsReRun) {
+  const std::string sink = GetParam();
+  const std::string path = temp_path("resume_torn." + sink);
+  const std::string clean = temp_path("resume_torn_clean." + sink);
+  ASSERT_EQ(suite_failure_count(run_acceptance(sink, clean)), 0u);
+  ASSERT_EQ(suite_failure_count(run_acceptance(sink, path)), 0u);
 
   // Crash mid-write: chop the final row somewhere inside, newline lost.
   const std::string full = read_file(path);
@@ -133,8 +136,7 @@ TEST(ResumeTornTail, TruncatedJsonlLastLineIsReRun) {
     out << full.substr(0, cut + 1 + 20);  // 20 bytes of the torn row
   }
 
-  const std::vector<SuiteRun> resumed =
-      run_acceptance("jsonl", path, "", path);
+  const std::vector<SuiteRun> resumed = run_acceptance(sink, path, "", path);
   EXPECT_EQ(suite_failure_count(resumed), 0u);
   std::size_t reran = 0;
   for (const SuiteRun& run : resumed)
@@ -144,6 +146,12 @@ TEST(ResumeTornTail, TruncatedJsonlLastLineIsReRun) {
   std::remove(path.c_str());
   std::remove(clean.c_str());
 }
+
+INSTANTIATE_TEST_SUITE_P(TextSinks, ResumeTornTail,
+                         testing::Values("jsonl", "csv"),
+                         [](const testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 // ---- named rejections -------------------------------------------------------
 

@@ -12,9 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
+#include "src/common/csv.hpp"
 #include "src/common/json.hpp"
 #include "src/sim/suite.hpp"
 #include "test_util.hpp"
@@ -29,7 +32,6 @@ namespace {
 // The test_determinism_csv fixed-seed golden, shared via test_util.hpp.
 using testutil::kGoldenRow;
 using testutil::kGoldenScenario;
-using testutil::split_csv_line;
 
 /// The golden scenario's schema projected onto the default column set —
 /// what every sink sees through RecordStream.
@@ -113,7 +115,7 @@ TEST(JsonlSinkTest, NativeNumbersSpellTheCsvCells) {
   const JsonValue row = json_parse(line);
   ASSERT_TRUE(row.is_object());
   const MetricSchema schema = golden_schema();
-  const std::vector<std::string> golden = split_csv_line(kGoldenRow);
+  const std::vector<std::string> golden = split_csv_row(kGoldenRow).value();
   ASSERT_EQ(row.members.size(), schema.size());
   ASSERT_EQ(golden.size(), schema.size());
   for (std::size_t i = 0; i < schema.size(); ++i) {
@@ -219,7 +221,7 @@ TEST(SqliteSinkTest, TypedColumnsMatchTheCsvCells) {
   const MetricSchema schema = golden_schema();
   const auto rows = read_rows_as_cells(path, schema);
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0], split_csv_line(kGoldenRow));
+  EXPECT_EQ(rows[0], split_csv_row(kGoldenRow).value());
 
   // The acceptance point: real column affinities, not all-TEXT.
   const std::vector<std::string> affinities = read_column_affinities(path);
@@ -277,6 +279,66 @@ TEST(SqliteSinkTest, RequiresAnOutputPath) {
 
 #endif  // COLSCORE_HAVE_SQLITE
 
+// ---- read back: each sink's reader inverts its writer ----------------------
+
+TEST(SinkRoundTrip, EveryBuiltinReadsBackWhatItWrote) {
+  MetricSchema schema;
+  schema.add({"u", MetricType::kU64, "", "test"});
+  schema.add({"z", MetricType::kSize, "", "test"});
+  schema.add({"f", MetricType::kF64, "", "test"});
+  schema.add({"s", MetricType::kString, "", "test"});
+  schema.add({"b", MetricType::kBool, "", "test"});
+  const double inf = std::numeric_limits<double>::infinity();
+  const MetricValue absent;
+  const auto u64 = MetricValue::of_u64;
+  const auto f64 = MetricValue::of_f64;
+  const auto str = MetricValue::of_string;
+  const auto boolean = MetricValue::of_bool;
+  // One row per hard f64 value; the other columns vary around them. Empty
+  // strings are left out: a text sink spells "" and absent the same way.
+  const std::vector<std::vector<MetricValue>> rows = {
+      {u64(~std::uint64_t{0}), u64((std::uint64_t{1} << 53) + 1),
+       f64(std::nan("")), str("a,b \"quoted\""), boolean(true)},
+      {u64(0), absent, f64(inf), str("naïve — 東京"), boolean(false)},
+      {absent, u64(7), f64(-inf), str(","), absent},
+      {u64(1), u64(2), f64(-0.0), absent, boolean(true)},
+      {u64(3), u64(4), f64(1e-300), str("\"\""), boolean(false)},
+      {absent, absent, absent, absent, absent},
+  };
+  std::vector<RunRecord> records;
+  for (const std::vector<MetricValue>& values : rows) {
+    RunRecord& record = records.emplace_back(&schema);
+    for (std::size_t i = 0; i < values.size(); ++i)
+      record.set_value(i, values[i]);
+  }
+
+  for (const auto& [name, description] :
+       SinkRegistry::instance().descriptions()) {
+    const std::string path = testing::TempDir() + "colscore_roundtrip." + name;
+    std::remove(path.c_str());
+    {
+      const std::unique_ptr<ResultSink> sink = make_sink(name, {path});
+      sink->begin(schema);
+      for (const RunRecord& record : records) sink->write(record);
+      sink->finish();
+    }
+    const SinkRows back = SinkRegistry::instance().at(name).read(path, schema);
+    EXPECT_EQ(back.truncated_rows, 0u) << name;
+    ASSERT_EQ(back.rows.size(), records.size()) << name;
+    for (std::size_t r = 0; r < records.size(); ++r) {
+      // cell_text spells each value exactly (f64 as its shortest round-trip
+      // form, so -0 and 0 differ), so equal cells mean equal values.
+      std::vector<std::string> want = records[r].cells();
+      // sqlite's REAL storage turns NaN into NULL and drops the sign of a
+      // zero (see SqliteSink); every other value must survive exactly.
+      if (name == "sqlite" && want[2] == "nan") want[2] = "";
+      if (name == "sqlite" && want[2] == "-0") want[2] = "0";
+      EXPECT_EQ(back.rows[r].cells(), want) << name << " row " << r;
+    }
+    std::remove(path.c_str());
+  }
+}
+
 // ---- cross-sink equivalence (the satellite acceptance) ----------------------
 
 TEST(SinkEquivalence, FixedSeedSuiteIsIdenticalAcrossSinks) {
@@ -324,7 +386,8 @@ TEST(SinkEquivalence, FixedSeedSuiteIsIdenticalAcrossSinks) {
     std::istringstream lines(csv_out.str());
     std::string line;
     ASSERT_TRUE(std::getline(lines, line));  // header
-    while (std::getline(lines, line)) csv_rows.push_back(split_csv_line(line));
+    while (std::getline(lines, line))
+      csv_rows.push_back(split_csv_row(line).value());
   }
   ASSERT_EQ(csv_rows.size(), 4u);  // 2 cells x 2 reps
 

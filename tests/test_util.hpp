@@ -12,24 +12,6 @@
 
 namespace colscore::testutil {
 
-/// Splits one CSV line on commas (no quoting — the golden rows contain
-/// none), keeping trailing empty cells (the golden row ends with an empty
-/// `error` cell). Shared by the golden-row consumers (test_sinks,
-/// test_record).
-inline std::vector<std::string> split_csv_line(const std::string& line) {
-  std::vector<std::string> cells;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t comma = line.find(',', start);
-    if (comma == std::string::npos) {
-      cells.push_back(line.substr(start));
-      return cells;
-    }
-    cells.push_back(line.substr(start, comma - start));
-    start = comma + 1;
-  }
-}
-
 // Fixed-seed golden pinned by test_determinism_csv and reused by the sink
 // tests: one scenario, one byte-exact suite row (wall column excluded).
 // Captured from the seed CLI before the BitMatrix rewrite; update both

@@ -26,10 +26,10 @@
 #include <cstdlib>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/common/parse.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/sim/fault.hpp"
 #include "src/sim/registry.hpp"
@@ -179,32 +179,15 @@ int run(int argc, char** argv) {
       spec.set(key, next());
     };
     auto next_size = [&]() -> std::size_t {
-      const std::string value = next();
-      std::size_t used = 0;
-      std::size_t out = 0;
-      try {
-        if (value.empty() || value[0] == '-') throw ScenarioError("");
-        out = std::stoull(value, &used);
-      } catch (...) {
-        used = 0;
-      }
-      if (used != value.size()) usage(argv[0]);
-      return out;
+      const std::optional<std::uint64_t> v = parse_u64(next());
+      if (!v) usage(argv[0]);
+      return *v;
     };
     auto next_seconds = [&]() -> double {
-      const std::string value = next();
-      std::size_t used = 0;
-      double out = 0.0;
-      try {
-        out = std::stod(value, &used);
-      } catch (...) {
-        used = 0;
-      }
+      const std::optional<double> v = parse_f64(next());
       // NaN would silently disable the timeout (NaN > 0 is false).
-      if (value.empty() || used != value.size() || !std::isfinite(out) ||
-          out < 0)
-        usage(argv[0]);
-      return out;
+      if (!v || !std::isfinite(*v) || *v < 0) usage(argv[0]);
+      return *v;
     };
 
     if (arg == "--workload") { spec_touched = true; spec.workload = next(); }
@@ -212,17 +195,9 @@ int run(int argc, char** argv) {
     else if (arg == "--adversary") { spec_touched = true; spec.adversary = next(); }
     else if (arg == "--scenario") {
       spec_touched = true;
-      // Apply token by token (not via ScenarioSpec::parse) so names the
-      // string does not mention keep whatever earlier flags set them to.
-      std::istringstream tokens{next()};
-      std::string token;
-      while (tokens >> token) {
-        const std::size_t eq = token.find('=');
-        if (eq == std::string::npos || eq == 0 || eq + 1 >= token.size())
-          throw ScenarioError("malformed scenario token '" + token +
-                              "'; expected key=value");
-        spec.set(token.substr(0, eq), token.substr(eq + 1));
-      }
+      // Applied onto the flags so far: names the string does not mention
+      // keep whatever earlier flags set them to.
+      spec = ScenarioSpec::parse(next(), std::move(spec));
     } else if (arg == "--set") {
       spec_touched = true;
       const std::string kv = next();
